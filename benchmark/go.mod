@@ -1,0 +1,9 @@
+module repro/benchmark
+
+go 1.24
+
+require repro v0.0.0
+
+replace repro => ../
+
+replace golang.org/x/tools => ../third_party/golang.org/x/tools
