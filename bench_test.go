@@ -453,8 +453,7 @@ func BenchmarkDeltaOverlay(b *testing.B) {
 // benchmark: draining a streaming cursor over an exploration-heavy LUBM
 // query with sequential matching vs the parallel pipeline. Row order is
 // identical in both configurations (differential-tested), so the comparison
-// is pure throughput. On a multi-core box the parallel drain should be ≥2x;
-// the CI bench-gate holds whatever this records against regressions.
+// is pure throughput. On a multi-core box the parallel drain should be ≥2x.
 func BenchmarkParallelSelect(b *testing.B) {
 	fixtures()
 	q := datagen.LUBMQuery("Q9").Text
@@ -566,10 +565,9 @@ SELECT ?a ?b WHERE { ?h ex:p ?a . ?h ex:p ?b . }`
 // benchmark: the first 10 rows of a single region that yields >200k
 // solutions, drained through a parallel streaming cursor (bounded segments
 // from a suspended search cursor) vs full materialization (what consuming
-// the first rows cost when a region buffered its entire result). The
-// bench-gate asserts the allocation ratio — machine-independent — and, on
-// runners with ≥4 CPUs, the ≥5x first-row latency win; bytes-per-row is the
-// recorded per-delivered-row allocation footprint of the streamed path.
+// the first rows cost when a region buffered its entire result).
+// bytes-per-row is the per-delivered-row allocation footprint of the
+// streamed path.
 func BenchmarkSkewedFirstRows(b *testing.B) {
 	const fan = 450 // one region, fan² = 202 500 rows
 	ts, q := skewedTriples(fan)
@@ -617,8 +615,8 @@ func BenchmarkSkewedFirstRows(b *testing.B) {
 // BenchmarkOrderByTopK is the streaming ORDER BY acceptance benchmark on the
 // paper's increasing-solution LUBM queries: `ORDER BY … LIMIT 5` through the
 // bounded top-k heap vs the unbounded ORDER BY (sorted runs + merge, which
-// must retain every row). The bench-gate holds the B/op ratio — the top-k
-// path must stay strictly cheaper as the solution count grows.
+// must retain every row). The top-k path should stay strictly cheaper in
+// B/op as the solution count grows.
 func BenchmarkOrderByTopK(b *testing.B) {
 	ds := datagen.LUBMDataset(8) // Q2: 30 rows, Q9: 461 rows
 	store := New(ds.Triples, nil)
@@ -654,9 +652,8 @@ func BenchmarkOrderByTopK(b *testing.B) {
 // region (a single typed hub), so region-granular parallelism has nothing
 // to distribute — any parallel speedup comes entirely from hungry workers
 // adopting split-off tails of the owner's suspended search cursor. On a
-// multi-core box the parallel count should be ≥2x; the CI bench-gate holds
-// that ratio on runners with ≥4 CPUs (on fewer cores the split protocol
-// still runs, demand-driven, but cannot beat one core).
+// multi-core box the parallel count should be ≥2x (on fewer cores the split
+// protocol still runs, demand-driven, but cannot beat one core).
 func BenchmarkRegionSplit(b *testing.B) {
 	const (
 		mids         = 64
@@ -715,8 +712,7 @@ SELECT ?x ?y WHERE { ?h rdf:type ex:H . ?h ex:p ?x . ?x ex:q ?y . }`
 // ranks the wrong root-to-leaf path first (the large-population path is the
 // CHEAP one to defer, because the other path collapses to one row per
 // branch). The cost model's exchange ranking runs the collapsing path first
-// and roughly halves the search nodes; the bench-gate holds the resulting
-// ns/op ratio — a within-run comparison, so it is machine-independent.
+// and roughly halves the search nodes.
 func BenchmarkCostOrder(b *testing.B) {
 	const (
 		na = 200 // path A: r -pa-> a -pb-> b, exactly one b per a
@@ -807,7 +803,8 @@ func coldFixtures(b *testing.B) {
 // BenchmarkColdStart is the storage tentpole's acceptance benchmark: opening
 // a ~1M-triple store from its binary snapshot (frozen CSR arrays and
 // dictionaries read directly, no parsing, no transformation) versus
-// rebuilding it from N-Triples text. CI gates snapshot/parse at >=10x.
+// rebuilding it from N-Triples text. The snapshot path should be >=10x
+// faster.
 func BenchmarkColdStart(b *testing.B) {
 	coldFixtures(b)
 	opts := &Options{Workers: 1}

@@ -124,8 +124,9 @@
 // with -load. Per-query wall budgets, row caps (announced in the
 // X-Turbohom-Truncated trailer), a prepared-query LRU, graceful drain on
 // shutdown, and /healthz counters are built in; see DESIGN.md
-// ("Serving") and cmd/serveload for the CI load harness that gates p50,
-// p99 and rows/s.
+// ("Serving"). The serving path's latency, rows/s and cache replay are
+// measured by the serve_zipf workload of the benchmark in benchmark/
+// (bash benchmark/run.sh --workload serve_zipf).
 //
 // # NEC query reduction
 //

@@ -395,6 +395,10 @@ func (m *matcher) freqEstimate(u int) int {
 	return est
 }
 
+// startVertexTopK is how many top-ranked query vertices startCandidates
+// refines when choosing the start vertex.
+const startVertexTopK = 3
+
 // startCandidates picks the starting query vertex (lowest refined candidate
 // count among the top-k rank-scored vertices) and returns it with its full
 // filtered candidate list.
@@ -435,10 +439,7 @@ func (m *matcher) startCandidates() (int, []uint32) {
 		}
 		return ranked[i].u < ranked[j].u
 	})
-	k := m.opts.topK()
-	if k > len(ranked) {
-		k = len(ranked)
-	}
+	k := min(startVertexTopK, len(ranked))
 
 	best := -1
 	var bestList []uint32

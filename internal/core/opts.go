@@ -78,9 +78,6 @@ type Opts struct {
 	// MaxSolutions stops the search after this many solutions; 0 means
 	// unlimited.
 	MaxSolutions int
-	// StartVertexCandidates caps how many top-ranked query vertices are
-	// refined when choosing the start vertex. 0 uses the default (3).
-	StartVertexCandidates int
 	// Profile, when non-nil, accumulates effort counters (candidate regions
 	// explored, search-tree nodes visited) into the pointed-to result during
 	// the run. Parallel runs merge per-worker counters into it before
@@ -101,10 +98,3 @@ func Optimized() Opts {
 
 // Baseline returns the unoptimized TurboHOM configuration.
 func Baseline() Opts { return Opts{} }
-
-func (o Opts) topK() int {
-	if o.StartVertexCandidates > 0 {
-		return o.StartVertexCandidates
-	}
-	return 3
-}

@@ -217,9 +217,9 @@ func (pq *PreparedQuery) CacheKey() string {
 // contract.
 func (e *Engine) fingerprint() string {
 	o := e.opts
-	return fmt.Sprintf("mode=%d;sem=%d;int=%t;nlf=%t;deg=%t;reuse=%t;cost=%t;sig=%t;nec=%t;max=%d;topk=%d",
+	return fmt.Sprintf("mode=%d;sem=%d;int=%t;nlf=%t;deg=%t;reuse=%t;cost=%t;sig=%t;nec=%t;max=%d",
 		e.mode, e.sem, o.Intersect, o.NoNLF, o.NoDegree, o.ReuseOrder,
-		o.CostOrder, o.NoSignature, o.NoNEC, o.MaxSolutions, o.StartVertexCandidates)
+		o.CostOrder, o.NoSignature, o.NoNEC, o.MaxSolutions)
 }
 
 // Prepare parses src and compiles its execution plan.

@@ -636,19 +636,38 @@ func TestNECSPARQLStarProfiled(t *testing.T) {
 
 // TestDefaultWorkersParallel pins the out-of-the-box parallelism contract:
 // an engine built with Workers == 0 resolves to runtime.GOMAXPROCS and its
-// materialized execution equals sequential execution row for row.
+// materialized execution equals sequential execution row for row, capped by
+// MaxSolutions or not.
 func TestDefaultWorkersParallel(t *testing.T) {
 	ts := uniTriples()
 	auto := New(transform.Build(ts, transform.TypeAware), core.Optimized())
-	if runtime.GOMAXPROCS(0) > 1 && auto.opts.Workers < 2 {
-		t.Fatalf("Workers = %d, want GOMAXPROCS default", auto.opts.Workers)
+	if w := runtime.GOMAXPROCS(0); auto.opts.Workers != w {
+		t.Fatalf("Workers = %d, want GOMAXPROCS default %d", auto.opts.Workers, w)
 	}
-	// A MaxSolutions cap keeps the sequential default: parallel early
-	// termination would make the surviving row subset nondeterministic.
-	capped := core.Optimized()
-	capped.MaxSolutions = 5
-	if w := New(transform.Build(ts, transform.TypeAware), capped).opts.Workers; w != 1 {
-		t.Fatalf("capped engine Workers = %d, want 1", w)
+	// A cap does not force sequential execution: the capped rows are the
+	// sequential prefix for any worker count.
+	wide := wideEngine(100).Data()
+	for _, limit := range []int{1, 5, 17} {
+		capped := core.Optimized()
+		capped.MaxSolutions = limit
+		cappedSeq := capped
+		cappedSeq.Workers = 1
+		got, err := New(wide, capped).Query(wideQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(wide, cappedSeq).Query(wideQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != limit || len(want.Rows) != limit {
+			t.Fatalf("cap %d: %d rows at default workers, %d sequential", limit, len(got.Rows), len(want.Rows))
+		}
+		for i := range got.Rows {
+			if rowString(got.Rows[i]) != rowString(want.Rows[i]) {
+				t.Fatalf("cap %d row %d: %v, sequential %v", limit, i, got.Rows[i], want.Rows[i])
+			}
+		}
 	}
 	seqOpts := core.Optimized()
 	seqOpts.Workers = 1

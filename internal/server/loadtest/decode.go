@@ -1,9 +1,7 @@
-// Package loadtest is the client side of the SPARQL endpoint: result-set
-// decoders that reconstruct the exact rdf.Term rows a server streamed
-// (shared by the differential tests and the load generator), a concurrent
-// load driver reporting latency percentiles in benchmark format, and a
-// slow-drain probe that reads one row at a time while watching the server's
-// heap through /healthz.
+// Package loadtest is the client side of the SPARQL endpoint: one-request
+// query and update helpers, and result-set decoders that reconstruct the
+// exact rdf.Term rows a server streamed (shared by the server tests and the
+// whole-stack benchmark).
 package loadtest
 
 import (

@@ -1,17 +1,12 @@
 package loadtest
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
 // DoQuery runs one SPARQL protocol query (POST, urlencoded form) against
@@ -75,290 +70,4 @@ func DoUpdate(ctx context.Context, client *http.Client, baseURL, update string) 
 	fmt.Sscanf(resp.Header.Get("X-Turbohom-Inserted"), "%d", &inserted) //nolint:errcheck // absent header reads as 0
 	fmt.Sscanf(resp.Header.Get("X-Turbohom-Deleted"), "%d", &deleted)   //nolint:errcheck
 	return inserted, deleted, nil
-}
-
-// Health is the decoded /healthz body (the fields the probes read).
-type Health struct {
-	Status       string           `json:"status"`
-	Triples      int              `json:"triples"`
-	HeapAlloc    uint64           `json:"heap_alloc"`
-	NumGoroutine int              `json:"num_goroutine"`
-	Metrics      map[string]int64 `json:"metrics"`
-}
-
-// GetHealth fetches and decodes baseURL/healthz.
-func GetHealth(ctx context.Context, client *http.Client, baseURL string) (*Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("loadtest: decoding healthz: %w", err)
-	}
-	return &h, nil
-}
-
-// Config drives Run.
-type Config struct {
-	BaseURL  string
-	Query    string
-	Clients  int    // concurrent clients; minimum 1
-	Requests int    // total requests, spread over the clients
-	Accept   string // result content type; empty = server default (JSON)
-}
-
-// Report summarizes one load run. Latencies are full-drain times per
-// request: first byte through last row decoded.
-type Report struct {
-	Clients    int
-	Requests   int
-	Errors     int
-	Rows       int64
-	P50        time.Duration
-	P90        time.Duration
-	P99        time.Duration
-	Mean       time.Duration
-	Elapsed    time.Duration
-	RowsPerSec float64
-}
-
-// Run drives cfg.Clients concurrent clients issuing cfg.Requests total
-// queries and aggregates their latencies. Every client drains and decodes
-// each response completely before issuing the next request.
-func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if cfg.Clients < 1 {
-		cfg.Clients = 1
-	}
-	if cfg.Requests < cfg.Clients {
-		cfg.Requests = cfg.Clients
-	}
-	perClient := make([]int, cfg.Clients)
-	for i := 0; i < cfg.Requests; i++ {
-		perClient[i%cfg.Clients]++
-	}
-
-	type outcome struct {
-		lat  []time.Duration
-		rows int64
-		errs int
-		err  error
-	}
-	outcomes := make([]outcome, cfg.Clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			client := &http.Client{}
-			defer client.CloseIdleConnections()
-			o := &outcomes[c]
-			for i := 0; i < perClient[c]; i++ {
-				if ctx.Err() != nil {
-					o.err = ctx.Err()
-					return
-				}
-				t0 := time.Now()
-				doc, err := DoQuery(ctx, client, cfg.BaseURL, cfg.Query, cfg.Accept)
-				if err != nil {
-					o.errs++
-					o.err = err
-					continue
-				}
-				o.lat = append(o.lat, time.Since(t0))
-				o.rows += int64(len(doc.Rows))
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var (
-		all      []time.Duration
-		rows     int64
-		errCount int
-		firstErr error
-	)
-	for i := range outcomes {
-		all = append(all, outcomes[i].lat...)
-		rows += outcomes[i].rows
-		errCount += outcomes[i].errs
-		if firstErr == nil && outcomes[i].err != nil {
-			firstErr = outcomes[i].err
-		}
-	}
-	rep := Summarize(cfg.Clients, cfg.Requests, errCount, all, rows, elapsed)
-	if len(all) == 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("loadtest: no successful requests")
-		}
-		return rep, firstErr
-	}
-	if rep.Errors > 0 {
-		return rep, fmt.Errorf("loadtest: %d/%d requests failed: %w", rep.Errors, cfg.Requests, firstErr)
-	}
-	return rep, nil
-}
-
-// Summarize builds a Report from raw per-request latencies — shared by Run
-// and by in-process baselines that measure cursor drains without HTTP.
-// lat is reordered in place.
-func Summarize(clients, requests, errors int, lat []time.Duration, rows int64, elapsed time.Duration) *Report {
-	rep := &Report{Clients: clients, Requests: requests, Errors: errors, Rows: rows, Elapsed: elapsed}
-	if len(lat) == 0 {
-		return rep
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	rep.P50 = percentile(lat, 50)
-	rep.P90 = percentile(lat, 90)
-	rep.P99 = percentile(lat, 99)
-	rep.Mean = sum / time.Duration(len(lat))
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.RowsPerSec = float64(rows) / secs
-	}
-	return rep
-}
-
-// percentile reads the p-th percentile from sorted latencies (nearest-rank).
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (len(sorted)*p + 99) / 100 // ceil
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// BenchLines renders the report as testing-benchmark output lines, the
-// format cmd/benchgate parses. Every line carries ns/op so ratio gates can
-// reference any of them; the throughput line adds a rows/s custom metric.
-//
-//	Benchmark<name>/p50  1  <ns> ns/op
-//	Benchmark<name>/p99  1  <ns> ns/op
-//	Benchmark<name>/throughput  <requests>  <mean-ns> ns/op  <v> rows/s
-func (r *Report) BenchLines(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Benchmark%s/p50 1 %d ns/op\n", name, r.P50.Nanoseconds())
-	fmt.Fprintf(&b, "Benchmark%s/p90 1 %d ns/op\n", name, r.P90.Nanoseconds())
-	fmt.Fprintf(&b, "Benchmark%s/p99 1 %d ns/op\n", name, r.P99.Nanoseconds())
-	fmt.Fprintf(&b, "Benchmark%s/throughput %d %d ns/op %.1f rows/s\n",
-		name, r.Requests-r.Errors, r.Mean.Nanoseconds(), r.RowsPerSec)
-	return b.String()
-}
-
-// SlowDrainReport is what SlowDrain observed.
-type SlowDrainReport struct {
-	RowsRead     int
-	BaseHeap     uint64 // server heap_alloc before the stream opened
-	MaxHeap      uint64 // max heap_alloc observed while draining slowly
-	StreamLive   bool   // the request was still in flight when we disconnected
-	ServerCancel bool   // server counted a cancelled query after the disconnect
-}
-
-// SlowDrain opens one streaming query and reads it at a fixed pace — one
-// response line (one row) per interval, rows times — polling the server's
-// /healthz between reads to watch heap_alloc. It then closes the response
-// body WITHOUT draining the rest: a deliberate mid-stream disconnect.
-//
-// Before disconnecting it checks whether the request is still in flight on
-// the server (StreamLive): a result small enough to fit in socket buffers
-// lets the handler finish while the client crawls, in which case there is
-// no cursor left to abort and ServerCancel stays false — callers gating on
-// the abort must drive a result set large (or expensive) enough to keep the
-// stream live. When the stream was live, SlowDrain polls /healthz until the
-// server has counted the cancelled query, so callers can assert both the
-// bounded-memory and the cursor-abort halves of the backpressure contract.
-func SlowDrain(ctx context.Context, baseURL, query string, rows int, interval time.Duration) (*SlowDrainReport, error) {
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-	rep := &SlowDrainReport{}
-
-	h, err := GetHealth(ctx, client, baseURL)
-	if err != nil {
-		return nil, err
-	}
-	rep.BaseHeap = h.HeapAlloc
-	cancelledBefore := h.Metrics["queries_cancelled"]
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/sparql",
-		strings.NewReader(url.Values{"query": {query}}.Encode()))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("Accept", "application/sparql-results+json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, fmt.Errorf("loadtest: slow drain status %s", resp.Status)
-	}
-
-	// The JSON writer emits one row per line after the head line; reading
-	// line by line is reading row by row.
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	if !sc.Scan() { // head line
-		resp.Body.Close()
-		return nil, fmt.Errorf("loadtest: no head line: %v", sc.Err())
-	}
-	for rep.RowsRead < rows && sc.Scan() {
-		rep.RowsRead++
-		if h, err := GetHealth(ctx, client, baseURL); err == nil && h.HeapAlloc > rep.MaxHeap {
-			rep.MaxHeap = h.HeapAlloc
-		}
-		select {
-		case <-ctx.Done():
-			resp.Body.Close()
-			return rep, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
-	if err := sc.Err(); err != nil {
-		resp.Body.Close()
-		return rep, err
-	}
-	if h, err := GetHealth(ctx, client, baseURL); err == nil {
-		inflight := h.Metrics["queries_started"] - h.Metrics["queries_ok"] -
-			h.Metrics["queries_failed"] - h.Metrics["queries_cancelled"]
-		rep.StreamLive = inflight > 0
-	}
-	resp.Body.Close() // disconnect mid-stream
-
-	if !rep.StreamLive {
-		// The handler already finished; there is no cursor to abort.
-		return rep, nil
-	}
-
-	// Wait for the server to notice and abort the cursor.
-	for i := 0; i < 100; i++ {
-		if ctx.Err() != nil {
-			return rep, ctx.Err()
-		}
-		h, err := GetHealth(ctx, client, baseURL)
-		if err == nil && h.Metrics["queries_cancelled"] > cancelledBefore {
-			rep.ServerCancel = true
-			return rep, nil
-		}
-		select {
-		case <-ctx.Done():
-			return rep, ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-	return rep, nil
 }

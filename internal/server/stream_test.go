@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -137,12 +138,19 @@ func TestServeSlowClientBoundedAlloc(t *testing.T) {
 	}
 }
 
-// TestDisconnectOverTCP is the same contract end to end: a real connection,
-// closed mid-body, must cancel the request context and abort the cursor.
+// TestDisconnectOverTCP is the same contract end to end over a real
+// connection: a slow reader that takes a few rows with pauses and then
+// stalls must leave allocation bounded — the socket buffers fill, the
+// handler's Write blocks and the cursor suspends — and closing the
+// connection mid-body must cancel the request context and abort the cursor.
 func TestDisconnectOverTCP(t *testing.T) {
-	store := turbohom.New(fanTriples(200), &turbohom.Options{Workers: 2, StreamBuffer: 8})
+	const n = 450 // 202,500 rows ≈ 18 MB of JSON, far beyond the socket buffers
+	store := turbohom.New(fanTriples(n), &turbohom.Options{Workers: 2, StreamBuffer: 8})
 	defer store.Close()
-	srv := server.New(store, turbohom.ServerOptions{QueryTimeout: -1})
+	// The result cache is off: teeing rows into a prospective entry would
+	// legitimately allocate up to the entry cap, and this test is about the
+	// live stream.
+	srv := server.New(store, turbohom.ServerOptions{QueryTimeout: -1, ResultCacheBytes: -1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -150,21 +158,46 @@ func TestDisconnectOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read a little of the body, then slam the connection shut.
-	if _, err := io.ReadFull(resp.Body, make([]byte, 2<<10)); err != nil {
-		t.Fatal(err)
+	// The JSON writer emits the head and then one row per line: read the
+	// head and three rows, pausing after each.
+	body := bufio.NewReader(resp.Body)
+	for i := 0; i < 4; i++ {
+		if _, err := body.ReadString('\n'); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	resp.Body.Close()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if m := srv.Metrics(); m.QueriesCancelled == 1 {
+	// Stall. Once the socket buffers are full, allocation must settle; a
+	// stream that buffered instead of suspending would keep allocating until
+	// the whole result sat in memory.
+	prev := totalAlloc()
+	for i := 0; ; i++ {
+		time.Sleep(100 * time.Millisecond)
+		cur := totalAlloc()
+		grew := cur - prev
+		prev = cur
+		if grew < 256<<10 {
 			break
 		}
+		if i == 50 {
+			t.Fatalf("allocated %d bytes per 100ms after 5s of a stalled client; stream is buffering, not suspending", grew)
+		}
+	}
+
+	resp.Body.Close() // disconnect mid-body
+
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Metrics().QueriesCancelled != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("server never counted the disconnect: %+v", srv.Metrics())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	// The stall must have suspended the search, not merely the writes: what
+	// the socket buffers absorbed is a fraction of the n*n result.
+	if m := srv.Metrics(); m.SearchNodes > int64(n)*int64(n)/2 {
+		t.Errorf("search explored %d nodes before the disconnect; full search is ~%d", m.SearchNodes, n*n)
 	}
 }
 
