@@ -3,34 +3,32 @@ package bench
 // Cross-engine differential tests: four independent implementations — the
 // TurboHOM++ matcher under both transformations, the six-permutation
 // merge-join engine, and the bitmap-index engine — must agree on the
-// solution count of every benchmark query. This is the repository's
+// solution count of every benchmark query, and on BSBM the matcher and the
+// bitmap-index engine must agree on the rows themselves. This is the repository's
 // strongest end-to-end correctness check: the engines share no evaluation
 // code (the matcher explores graphs; the baselines scan and join indexes).
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/baseline/bitmat"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/rdf"
 	"repro/internal/transform"
 )
 
-// diffEngines builds the comparison set for a dataset. rdf3x only supports
-// BGPs, so withRDF3X is false for the BSBM workload (OPTIONAL/FILTER),
-// matching the paper's own exclusion.
-func diffEngines(t *testing.T, ds *datagen.Dataset, withRDF3X bool) []QueryEngine {
-	t.Helper()
-	engines := []QueryEngine{
+// diffEngines builds the comparison set for a BGP workload.
+func diffEngines(ds *datagen.Dataset) []QueryEngine {
+	return []QueryEngine{
 		TurboPlusPlus(ds.Triples),
 		NewTurbo("TurboHOM-direct", ds.Triples, transform.Direct, core.Baseline()),
 		NewBitMat(ds.Triples),
+		NewRDF3X(ds.Triples),
 	}
-	if withRDF3X {
-		engines = append(engines, NewRDF3X(ds.Triples))
-	}
-	return engines
 }
 
 func assertAgreement(t *testing.T, ds *datagen.Dataset, engines []QueryEngine) {
@@ -61,7 +59,7 @@ func TestDifferentialLUBM(t *testing.T) {
 		t.Skip("multi-engine differential")
 	}
 	ds := datagen.LUBMDataset(1)
-	assertAgreement(t, ds, diffEngines(t, ds, true))
+	assertAgreement(t, ds, diffEngines(ds))
 }
 
 func TestDifferentialYAGO(t *testing.T) {
@@ -69,7 +67,7 @@ func TestDifferentialYAGO(t *testing.T) {
 		t.Skip("multi-engine differential")
 	}
 	ds := datagen.YAGODataset(600)
-	assertAgreement(t, ds, diffEngines(t, ds, true))
+	assertAgreement(t, ds, diffEngines(ds))
 }
 
 func TestDifferentialBTC(t *testing.T) {
@@ -77,15 +75,66 @@ func TestDifferentialBTC(t *testing.T) {
 		t.Skip("multi-engine differential")
 	}
 	ds := datagen.BTCDataset(600)
-	assertAgreement(t, ds, diffEngines(t, ds, true))
+	assertAgreement(t, ds, diffEngines(ds))
 }
 
+// TestDifferentialBSBM compares answers, not counts, on BSBM — the one
+// generated workload that reaches the engine's OPTIONAL evaluator (OPTIONAL,
+// nested OPTIONAL, !bound, UNION, FILTER). Every query's sorted projected
+// row multiset from TurboHOM++, under both transformations and Workers 1
+// and 2, must equal bitmat's, which evaluates the same query as relational
+// joins and left joins over bitmap indexes.
 func TestDifferentialBSBM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-engine differential")
 	}
 	ds := datagen.BSBMDataset(120)
-	assertAgreement(t, ds, diffEngines(t, ds, false))
+	ref := bitmat.Load(ds.Triples)
+	want := make(map[string][]string, len(ds.Queries))
+	for _, q := range ds.Queries {
+		_, rows, err := ref.Query(q.Text)
+		if err != nil {
+			t.Fatalf("bitmat %s: %v", q.ID, err)
+		}
+		want[q.ID] = sortedRowKeys(rows)
+	}
+	for _, cfg := range []struct {
+		mode transform.Mode
+		opts core.Opts
+	}{{transform.TypeAware, core.Optimized()}, {transform.Direct, core.Baseline()}} {
+		data := transform.Build(ds.Triples, cfg.mode)
+		for _, workers := range []int{1, 2} {
+			opts := cfg.opts
+			opts.Workers = workers
+			e := engine.New(data, opts)
+			for _, q := range ds.Queries {
+				res, err := e.Query(q.Text)
+				if err != nil {
+					t.Fatalf("%s/workers=%d %s: %v", cfg.mode, workers, q.ID, err)
+				}
+				if got := sortedRowKeys(res.Rows); !slices.Equal(got, want[q.ID]) {
+					t.Errorf("%s/workers=%d %s: rows differ from bitmat\n got %q\nwant %q",
+						cfg.mode, workers, q.ID, got, want[q.ID])
+				}
+			}
+		}
+	}
+}
+
+// sortedRowKeys renders rows as sorted keys: a row multiset in comparable
+// form.
+func sortedRowKeys(rows [][]rdf.Term) []string {
+	keys := make([]string, len(rows))
+	for i, row := range rows {
+		var b strings.Builder
+		for _, t := range row {
+			b.WriteString(string(t))
+			b.WriteByte('\x1f')
+		}
+		keys[i] = b.String()
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestDifferentialParallelWorkers re-runs the LUBM workload with parallel

@@ -314,17 +314,15 @@ func (m *matcher) passFilters(u int, v uint32) bool {
 	if qv.ID != NoID && qv.ID != v {
 		return false
 	}
-	if !m.opts.NoSignature {
-		if mask := m.sigMask[u]; mask != 0 {
+	if mask := m.sigMask[u]; mask != 0 {
+		if m.opts.Profile != nil {
+			m.sigChecked.Add(1)
+		}
+		if m.g.Signature(v)&mask != mask {
 			if m.opts.Profile != nil {
-				m.sigChecked.Add(1)
+				m.sigKilled.Add(1)
 			}
-			if m.g.Signature(v)&mask != mask {
-				if m.opts.Profile != nil {
-					m.sigKilled.Add(1)
-				}
-				return false
-			}
+			return false
 		}
 	}
 	if !m.g.HasAllLabels(v, qv.Labels) {

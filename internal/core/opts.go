@@ -44,12 +44,6 @@ type Opts struct {
 	// contract. Falls back to the paper heuristic when the graph carries no
 	// statistics.
 	CostOrder bool
-	// NoSignature disables the compact neighborhood-signature filter: the
-	// 64-bit Bloom signature over incident (direction, edge label, neighbor
-	// label) triples checked before any adjacency walk. The signature is a
-	// necessary condition implied by the NLF filter, so disabling it never
-	// changes results; it exists as an ablation toggle.
-	NoSignature bool
 	// NoNEC disables the NEC query reduction (merging equivalent query
 	// vertices and enumerating their solutions by combination, paper §2.2).
 	// The reduction is on by default because it only ever shrinks the

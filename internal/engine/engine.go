@@ -4,13 +4,15 @@
 // patterns into vertex labels under the type-aware transformation), pushes
 // inexpensive FILTERs into exploration, evaluates expensive FILTERs after
 // matching, and implements OPTIONAL as a SPARQL left join and UNION by
-// sub-query splitting (paper §5.1).
+// sub-query splitting (paper §5.1). One evaluator, streamGroup, runs every
+// group: top-level UNION alternatives and OPTIONAL sub-groups alike.
 //
 // Execution is organized around prepared queries: Prepare parses and plans
 // once, and the resulting PreparedQuery can be executed many times,
-// concurrently, either materialized (Exec) or streamed row by row through a
-// Rows cursor (Select). String-based Query/Count are thin wrappers that
-// prepare and execute in one step.
+// concurrently, either materialized (Exec), counted (Count) or streamed row
+// by row (Select, All) — all over the same streaming pipeline, with the
+// same rows in the same order. String-based Query/Count are thin wrappers
+// that prepare and execute in one step.
 package engine
 
 import (
@@ -44,10 +46,9 @@ type Engine struct {
 
 // New builds an engine over transformed data with the given matcher options.
 // Workers == 0 defaults to runtime.GOMAXPROCS(0), so every execution path is
-// parallel out of the box: the materializing paths (Exec, Count) fan
-// candidate regions over the workers, and the streaming cursor (Select)
-// runs the ordered region pipeline, whose reorder stage preserves the
-// sequential row order, early termination, and MaxSolutions determinism.
+// parallel out of the box: Exec, Count, Select and All run the ordered
+// region pipeline, whose reorder stage preserves the sequential row order,
+// early termination, and MaxSolutions determinism.
 // Nothing about the default costs determinism — results with Workers = N
 // are byte-identical to Workers = 1, capped or not. Pass Workers = 1 for
 // strictly sequential execution (ablations, single-core boxes).
@@ -217,9 +218,9 @@ func (pq *PreparedQuery) CacheKey() string {
 // contract.
 func (e *Engine) fingerprint() string {
 	o := e.opts
-	return fmt.Sprintf("mode=%d;sem=%d;int=%t;nlf=%t;deg=%t;reuse=%t;cost=%t;sig=%t;nec=%t;max=%d",
+	return fmt.Sprintf("mode=%d;sem=%d;int=%t;nlf=%t;deg=%t;reuse=%t;cost=%t;nec=%t;max=%d",
 		e.mode, e.sem, o.Intersect, o.NoNLF, o.NoDegree, o.ReuseOrder,
-		o.CostOrder, o.NoSignature, o.NoNEC, o.MaxSolutions)
+		o.CostOrder, o.NoNEC, o.MaxSolutions)
 }
 
 // Prepare parses src and compiles its execution plan.
@@ -262,12 +263,12 @@ func (pq *PreparedQuery) Vars() []string { return pq.vars }
 // finding the first solution.
 func (pq *PreparedQuery) Ask() bool { return pq.q.Ask }
 
-// Exec runs the prepared query and materializes every row. Unlike Select
-// it lets Workers > 1 parallelize the matching: a consumer draining
-// everything wants throughput, not first-row latency.
+// Exec runs the prepared query and materializes every row. It drains the
+// same streaming pipeline as Select, so its rows and their order are
+// Select's for every worker count.
 func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, error) {
 	var rows [][]rdf.Term
-	err := pq.stream(ctx, pq.e.Data(), nil, false, func(row []rdf.Term) bool {
+	err := pq.stream(ctx, pq.e.Data(), nil, func(row []rdf.Term) bool {
 		rows = append(rows, row)
 		return true
 	})
@@ -307,7 +308,7 @@ func (pq *PreparedQuery) Count(ctx context.Context) (int, error) {
 		}
 	}
 	n := 0
-	err = pq.streamWith(ctx, pe, nil, false, func([]rdf.Term) bool {
+	err = pq.streamWith(ctx, pe, nil, func([]rdf.Term) bool {
 		n++
 		return true
 	})
@@ -349,24 +350,6 @@ func (e *Engine) Select(ctx context.Context, src string) (*Rows, error) {
 		return nil, err
 	}
 	return pq.Select(ctx), nil
-}
-
-// Exec executes a parsed query (compatibility wrapper over PrepareParsed).
-func (e *Engine) Exec(q *sparql.Query) (*Result, error) {
-	pq, err := e.PrepareParsed(q)
-	if err != nil {
-		return nil, err
-	}
-	return pq.Exec(context.Background())
-}
-
-// ExecCount executes a parsed query counting rows only.
-func (e *Engine) ExecCount(q *sparql.Query) (int, error) {
-	pq, err := e.PrepareParsed(q)
-	if err != nil {
-		return 0, err
-	}
-	return pq.Count(context.Background())
 }
 
 // tryFastCount counts a flat group's solutions without materializing rows.

@@ -9,107 +9,6 @@ import (
 	"repro/internal/transform"
 )
 
-// execGroup evaluates a flat group under the query-wide variable index,
-// returning one row per solution. It is the materializing path used for
-// OPTIONAL sub-groups, whose plans depend on the enclosing row's bindings;
-// top-level groups stream through streamGroup instead. outer carries
-// bindings from an enclosing solution; those variables were already
-// substituted into the plan as constants and stay empty in the returned
-// rows.
-func (e *Engine) execGroup(ctx context.Context, d *transform.Data, g *flatGroup, vi *varIndex, outer sparql.Bindings) ([][]rdf.Term, error) {
-	p, err := e.buildPlan(d, g, outer)
-	if err != nil {
-		return nil, err
-	}
-	if p.empty {
-		return nil, nil
-	}
-
-	// Seed the row with the alternative's fixed bindings (wildcard-predicate
-	// rdf:type expansion); conflicting fixes or an enclosing binding that
-	// disagrees make the alternative empty.
-	seed := make([]rdf.Term, len(vi.names))
-	for _, fb := range g.fixed {
-		if outer != nil {
-			if t, ok := outer[fb.name]; ok && t != "" && t != fb.term {
-				return nil, nil
-			}
-		}
-		slot := vi.slot(fb.name)
-		if slot < 0 {
-			continue
-		}
-		if seed[slot] != "" && seed[slot] != fb.term {
-			return nil, nil
-		}
-		seed[slot] = fb.term
-	}
-	rows := [][]rdf.Term{seed}
-
-	// Join the components (cross product with conflict detection: a
-	// predicate variable can span components).
-	for _, c := range p.comps {
-		sols, err := core.Collect(ctx, d.G, c.qg, e.sem, e.opts)
-		if err != nil {
-			return nil, err
-		}
-		if len(sols) == 0 {
-			return nil, nil
-		}
-		next := make([][]rdf.Term, 0, len(rows)*len(sols))
-		for _, row := range rows {
-			for _, sol := range sols {
-				if merged, ok := e.mergeSolution(d, row, c, sol, vi); ok {
-					next = append(next, merged)
-				}
-			}
-		}
-		rows = next
-		if len(rows) == 0 {
-			return nil, nil
-		}
-	}
-
-	// Variable-type expansions (`?s rdf:type ?t` under TypeAware).
-	for _, exp := range p.typeExps {
-		rows, err = e.expandTypes(d, rows, exp, vi, outer)
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) == 0 {
-			return nil, nil
-		}
-	}
-
-	// OPTIONAL groups: SPARQL left join, one group at a time.
-	for _, flats := range p.optFlats {
-		rows, err = e.execOptional(ctx, d, flats, vi, rows, outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Post filters (join conditions, regex, filters over OPTIONAL vars).
-	if len(p.post) > 0 {
-		kept := rows[:0]
-		for _, row := range rows {
-			b := e.rowBindings(row, vi, outer)
-			ok := true
-			for _, f := range p.post {
-				if !sparql.EvalFilter(f, b) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
-	}
-	return rows, nil
-}
-
 // mergeSolution folds one matcher solution into a row copy, rejecting
 // conflicting bindings.
 func (e *Engine) mergeSolution(d *transform.Data, row []rdf.Term, c *component, sol core.Match, vi *varIndex) ([]rdf.Term, bool) {
@@ -148,7 +47,7 @@ func (e *Engine) mergeSolution(d *transform.Data, row []rdf.Term, c *component, 
 // expandTypes multiplies rows by the admissible type terms of one
 // `?s rdf:type ?t` expansion: the intersection of the direct types of every
 // subject the variable covers.
-func (e *Engine) expandTypes(d *transform.Data, rows [][]rdf.Term, exp typeExpansion, vi *varIndex, outer sparql.Bindings) ([][]rdf.Term, error) {
+func (e *Engine) expandTypes(d *transform.Data, rows [][]rdf.Term, exp typeExpansion, vi *varIndex, outer sparql.Bindings) [][]rdf.Term {
 	slot := vi.slot(exp.typeVar)
 	var out [][]rdf.Term
 	for _, row := range rows {
@@ -170,7 +69,7 @@ func (e *Engine) expandTypes(d *transform.Data, rows [][]rdf.Term, exp typeExpan
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 func allowedTypes(d *transform.Data, exp typeExpansion, row []rdf.Term, vi *varIndex, outer sparql.Bindings) ([]uint32, bool) {
@@ -241,45 +140,54 @@ func allowedTypes(d *transform.Data, exp typeExpansion, row []rdf.Term, vi *varI
 }
 
 // execOptional left-joins rows with an OPTIONAL group (pre-expanded into
-// its flat alternatives): rows that match extend; rows that do not keep
-// their bindings with the group's variables null — emitted exactly once
-// (the paper's qualify-and-exclude-duplicate outcome via standard left-join
-// semantics).
+// its flat alternatives). Each row compiles every alternative with the
+// row's bindings pinned as constants (buildPlan with outer bindings) and
+// runs it through streamGroup: rows that match extend, in alternative and
+// solution order; rows that do not keep their bindings with the group's
+// variables null — emitted exactly once (the paper's qualify-and-exclude-
+// duplicate outcome via standard left-join semantics).
 func (e *Engine) execOptional(ctx context.Context, d *transform.Data, flats []*flatGroup, vi *varIndex, rows [][]rdf.Term, outer sparql.Bindings) ([][]rdf.Term, error) {
 	var out [][]rdf.Term
 	for _, row := range rows {
 		inner := e.rowBindings(row, vi, outer)
-		var subRows [][]rdf.Term
+		matched := false
 		for _, flat := range flats {
-			rs, err := e.execGroup(ctx, d, flat, vi, inner)
+			p, err := e.buildPlan(d, flat, inner)
 			if err != nil {
 				return nil, err
 			}
-			subRows = append(subRows, rs...)
+			err = e.streamGroup(ctx, p, flat, vi, nil, func(sub []rdf.Term) bool {
+				matched = true
+				if merged, ok := mergeRow(row, sub); ok {
+					out = append(out, merged)
+				}
+				return true
+			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		if len(subRows) == 0 {
+		if !matched {
 			out = append(out, row)
-			continue
-		}
-		for _, sub := range subRows {
-			merged := append([]rdf.Term(nil), row...)
-			ok := true
-			for i, t := range sub {
-				if t == "" {
-					continue
-				}
-				if merged[i] != "" && merged[i] != t {
-					ok = false
-					break
-				}
-				merged[i] = t
-			}
-			if ok {
-				out = append(out, merged)
-			}
 		}
 	}
 	return out, nil
+}
+
+// mergeRow overlays the bound slots of sub onto a copy of row, rejecting
+// conflicting bindings.
+func mergeRow(row, sub []rdf.Term) ([]rdf.Term, bool) {
+	merged := append([]rdf.Term(nil), row...)
+	for i, t := range sub {
+		if t == "" {
+			continue
+		}
+		if merged[i] != "" && merged[i] != t {
+			return nil, false
+		}
+		merged[i] = t
+	}
+	return merged, true
 }
 
 // rowBindings builds the variable bindings visible to filters and nested

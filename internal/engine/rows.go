@@ -100,7 +100,7 @@ func (pq *PreparedQuery) SelectProfiled(ctx context.Context, prof *core.ProfileR
 	r.fp = pe.fp
 	go func() {
 		truncated := false // emit aborted by cancellation (vs clean completion)
-		err := pq.streamWith(cctx, pe, prof, true, func(row []rdf.Term) bool {
+		err := pq.streamWith(cctx, pe, prof, func(row []rdf.Term) bool {
 			select {
 			case r.ch <- row:
 				return true
@@ -141,7 +141,7 @@ func (pq *PreparedQuery) All(ctx context.Context) iter.Seq2[[]rdf.Term, error] {
 			ctx = context.Background()
 		}
 		stopped := false
-		err := pq.stream(ctx, d, nil, true, func(row []rdf.Term) bool {
+		err := pq.stream(ctx, d, nil, func(row []rdf.Term) bool {
 			if !yield(row, nil) {
 				stopped = true
 				return false

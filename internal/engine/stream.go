@@ -16,33 +16,30 @@ type RowVisitor func(row []rdf.Term) bool
 
 // stream runs the prepared query, pushing projected rows — after DISTINCT
 // deduplication, OFFSET skipping, and LIMIT truncation — to emit in pipeline
-// order. Plain pattern/FILTER/OPTIONAL/UNION queries stream: each row flows
-// from the matcher's visitor callback to emit without accumulating a result
-// set (DISTINCT keeps a seen-set but still emits incrementally). ORDER BY no
-// longer special-cases "buffer everything then sort": `ORDER BY … LIMIT k`
-// feeds a bounded top-k heap from the stream (O(k) result memory), and
-// unbounded ORDER BY sorts bounded runs as rows arrive and merges them on
-// emission; both must still see the full stream before the first row leaves,
-// as the last solution could sort first. prof, when non-nil, accumulates
-// matcher effort counters (merged from the pipeline's workers when
-// Workers > 1). streamFirst routes the first component of each group through
-// the streaming matcher — with Workers > 1 that is the ordered parallel
-// region pipeline, which keeps the sequential row order while searching
-// regions concurrently — for first-row latency and early termination;
-// materializing consumers (Exec, Count) collect it instead and join from the
-// materialized sets.
-func (pq *PreparedQuery) stream(ctx context.Context, d *transform.Data, prof *core.ProfileResult, streamFirst bool, emit RowVisitor) error {
+// order. It is the one execution path behind Exec, Count's slow path, All
+// and Select: every group runs through streamGroup, so each row flows from
+// the matcher's visitor callback to emit without accumulating a result set
+// (DISTINCT keeps a seen-set but still emits incrementally), and stopping
+// emit abandons the remaining search. ORDER BY does not buffer everything
+// and then sort: `ORDER BY … LIMIT k` feeds a bounded top-k heap from the
+// stream (O(k) result memory), and unbounded ORDER BY sorts bounded runs as
+// rows arrive and merges them on emission; both must still see the full
+// stream before the first row leaves, as the last solution could sort
+// first. prof, when non-nil, accumulates the counters of each
+// group's streamed matcher run (merged from the pipeline's workers when
+// Workers > 1).
+func (pq *PreparedQuery) stream(ctx context.Context, d *transform.Data, prof *core.ProfileResult, emit RowVisitor) error {
 	pe, err := pq.acquirePlans(d)
 	if err != nil {
 		return err
 	}
 	defer pq.releasePlans(pe)
-	return pq.streamWith(ctx, pe, prof, streamFirst, emit)
+	return pq.streamWith(ctx, pe, prof, emit)
 }
 
 // streamWith is stream against an already-acquired plan entry; the caller
 // owns the pin.
-func (pq *PreparedQuery) streamWith(ctx context.Context, pe *planEntry, prof *core.ProfileResult, streamFirst bool, emit RowVisitor) error {
+func (pq *PreparedQuery) streamWith(ctx context.Context, pe *planEntry, prof *core.ProfileResult, emit RowVisitor) error {
 	plans := pe.plans
 	pj := &projector{pq: pq, emit: emit, offset: pq.q.Offset, limit: pq.q.Limit}
 	if pq.q.Distinct {
@@ -54,12 +51,12 @@ func (pq *PreparedQuery) streamWith(ctx context.Context, pe *planEntry, prof *co
 		// non-projected variables. (A nil comparator — no key resolves to a
 		// column — leaves the stream order untouched, so such queries take
 		// the plain streaming path below.)
-		return pq.streamOrdered(ctx, plans, prof, streamFirst, rowCmp(cmp), pj)
+		return pq.streamOrdered(ctx, plans, prof, rowCmp(cmp), pj)
 	}
 
 	for i, g := range pq.groups {
 		stopped := false
-		err := pq.e.streamGroup(ctx, plans[i], g, pq.vi, prof, streamFirst, func(row []rdf.Term) bool {
+		err := pq.e.streamGroup(ctx, plans[i], g, pq.vi, prof, func(row []rdf.Term) bool {
 			if !pj.push(row) {
 				stopped = true
 				return false
@@ -85,7 +82,7 @@ func (pq *PreparedQuery) streamWith(ctx context.Context, pe *planEntry, prof *co
 // away downstream must not consume heap slots), and an unbounded ORDER BY
 // has no k — both fall back to sorted runs merged on emission, which holds
 // every row but sorts incrementally and streams the merge.
-func (pq *PreparedQuery) streamOrdered(ctx context.Context, plans []*plan, prof *core.ProfileResult, streamFirst bool, cmp rowCmp, pj *projector) error {
+func (pq *PreparedQuery) streamOrdered(ctx context.Context, plans []*plan, prof *core.ProfileResult, cmp rowCmp, pj *projector) error {
 	var push func(row []rdf.Term)
 	var finish func()
 	if pq.q.Limit >= 0 && !pq.q.Distinct {
@@ -104,7 +101,7 @@ func (pq *PreparedQuery) streamOrdered(ctx context.Context, plans []*plan, prof 
 		finish = func() { rs.mergeEmit(pj.push) }
 	}
 	for i, g := range pq.groups {
-		err := pq.e.streamGroup(ctx, plans[i], g, pq.vi, prof, streamFirst, func(row []rdf.Term) bool {
+		err := pq.e.streamGroup(ctx, plans[i], g, pq.vi, prof, func(row []rdf.Term) bool {
 			push(row)
 			return true
 		})
@@ -166,25 +163,30 @@ func rowKey(row []rdf.Term) string {
 	return b.String()
 }
 
-// streamGroup evaluates one flat group against its prebuilt plan, pushing
-// unprojected solution rows to emit. The first query-graph component
-// streams straight from the matcher's visitor — in parallel but in
-// sequential row order when Workers > 1, via the ordered region pipeline —
-// and the remaining components are materialized once and cross-joined per
-// streamed solution. When streamFirst is false and Workers > 1, the first
-// component is materialized in parallel instead (a consumer that drains
-// everything anyway skips the streaming machinery; the order is the same
-// either way).
-func (e *Engine) streamGroup(ctx context.Context, p *plan, g *flatGroup, vi *varIndex, prof *core.ProfileResult, streamFirst bool, emit RowVisitor) error {
+// streamGroup is the one evaluator of a flat group: it runs the group's
+// plan depth first, pushing unprojected solution rows to emit. The first
+// query-graph component streams straight from the matcher's visitor — in
+// parallel but in sequential row order when Workers > 1, via the ordered
+// region pipeline — and the remaining components are materialized once and
+// cross-joined per streamed solution. Each joined row then passes through
+// the variable-type expansions, the OPTIONAL left joins and the post
+// filters before it is emitted. Top-level groups run with no outer
+// bindings; an OPTIONAL sub-group runs once per enclosing row, with that
+// row's bindings in p.outer (see execOptional).
+func (e *Engine) streamGroup(ctx context.Context, p *plan, g *flatGroup, vi *varIndex, prof *core.ProfileResult, emit RowVisitor) error {
 	if p.empty {
 		return nil
 	}
-	d := p.data
+	d, outer := p.data, p.outer
 
 	// Seed the row with the alternative's fixed bindings (wildcard-predicate
-	// rdf:type expansion); conflicting fixes make the alternative empty.
+	// rdf:type expansion); conflicting fixes or an enclosing binding that
+	// disagrees make the alternative empty.
 	seed := make([]rdf.Term, len(vi.names))
 	for _, fb := range g.fixed {
+		if t := outer[fb.name]; t != "" && t != fb.term {
+			return nil
+		}
 		slot := vi.slot(fb.name)
 		if slot < 0 {
 			continue
@@ -199,25 +201,20 @@ func (e *Engine) streamGroup(ctx context.Context, p *plan, g *flatGroup, vi *var
 	// left joins, post filters, then emit. It reports whether to continue.
 	tail := func(row []rdf.Term) (bool, error) {
 		rows := [][]rdf.Term{row}
-		var err error
 		for _, exp := range p.typeExps {
-			rows, err = e.expandTypes(d, rows, exp, vi, nil)
-			if err != nil {
-				return false, err
-			}
-			if len(rows) == 0 {
+			if rows = e.expandTypes(d, rows, exp, vi, outer); len(rows) == 0 {
 				return true, nil
 			}
 		}
 		for _, flats := range p.optFlats {
-			rows, err = e.execOptional(ctx, d, flats, vi, rows, nil)
-			if err != nil {
+			var err error
+			if rows, err = e.execOptional(ctx, d, flats, vi, rows, outer); err != nil {
 				return false, err
 			}
 		}
 		for _, r := range rows {
 			if len(p.post) > 0 {
-				b := e.rowBindings(r, vi, nil)
+				b := e.rowBindings(r, vi, outer)
 				keep := true
 				for _, f := range p.post {
 					if !sparql.EvalFilter(f, b) {
@@ -241,13 +238,8 @@ func (e *Engine) streamGroup(ctx context.Context, p *plan, g *flatGroup, vi *var
 		return err
 	}
 
-	streamed := 1
-	if !streamFirst && e.opts.Workers > 1 {
-		streamed = 0
-	}
-
-	rest := make([][]core.Match, len(p.comps)-streamed)
-	for i, c := range p.comps[streamed:] {
+	rest := make([][]core.Match, len(p.comps)-1)
+	for i, c := range p.comps[1:] {
 		sols, err := core.Collect(ctx, d.G, c.qg, e.sem, e.opts)
 		if err != nil {
 			return err
@@ -256,11 +248,6 @@ func (e *Engine) streamGroup(ctx context.Context, p *plan, g *flatGroup, vi *var
 			return nil // inner join: any empty component empties the group
 		}
 		rest[i] = sols
-	}
-
-	if streamed == 0 {
-		_, err := e.joinRest(d, p.comps, rest, 0, seed, vi, tail)
-		return err
 	}
 
 	opts := e.opts

@@ -106,11 +106,6 @@ type Options struct {
 	// costs. It composes with every optimization suite above.
 	CostOrder bool
 
-	// Matcher, when non-nil, overrides the optimization toggles entirely
-	// with an explicit core configuration (+INT, -NLF, -DEG, +REUSE
-	// individually; see core.Opts). Workers above is still applied.
-	Matcher *MatcherOpts
-
 	// SyncWAL makes a durable store (OpenDir) fsync the write-ahead log on
 	// every Insert/Delete before the mutation is acknowledged, so no
 	// acknowledged write is lost even to an OS crash or power failure. Off
@@ -130,36 +125,12 @@ type Options struct {
 	Limit int
 }
 
-// MatcherOpts mirrors the paper's four optimization toggles (§4.3) plus the
-// NEC reduction switch.
-type MatcherOpts struct {
-	// Intersect enables +INT: bulk IsJoinable via k-way intersection.
-	Intersect bool
-	// NoNLF disables the neighborhood label frequency filter (-NLF).
-	NoNLF bool
-	// NoDegree disables the degree filter (-DEG).
-	NoDegree bool
-	// ReuseOrder reuses the first candidate region's matching order
-	// (+REUSE).
-	ReuseOrder bool
-	// NoNEC disables the NEC query reduction.
-	NoNEC bool
-}
-
 // coreOpts resolves the configuration into matcher options.
 func (o *Options) coreOpts() core.Opts {
 	var opts core.Opts
 	switch {
 	case o == nil:
 		opts = core.Optimized()
-	case o.Matcher != nil:
-		opts = core.Opts{
-			Intersect:  o.Matcher.Intersect,
-			NoNLF:      o.Matcher.NoNLF,
-			NoDegree:   o.Matcher.NoDegree,
-			ReuseOrder: o.Matcher.ReuseOrder,
-			NoNEC:      o.Matcher.NoNEC,
-		}
 	case o.DisableOptimizations:
 		opts = core.Baseline()
 	default:

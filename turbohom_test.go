@@ -54,7 +54,6 @@ func TestStoreOptions(t *testing.T) {
 		{DisableOptimizations: true},
 		{Workers: 2},
 		{NEC: NECOff},
-		{Matcher: &MatcherOpts{Intersect: true, ReuseOrder: true, NoNEC: true}},
 	} {
 		s := New(apiTriples(), opts)
 		n, err := s.Count(apiPrefix + `SELECT ?x WHERE { ?x ex:advisor ?y . }`)
