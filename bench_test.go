@@ -647,66 +647,6 @@ func BenchmarkOrderByTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkRegionSplit is the region-internal work-splitting acceptance
-// benchmark: a count over a dataset whose query has exactly ONE candidate
-// region (a single typed hub), so region-granular parallelism has nothing
-// to distribute — any parallel speedup comes entirely from hungry workers
-// adopting split-off tails of the owner's suspended search cursor. On a
-// multi-core box the parallel count should be ≥2x (on fewer cores the split
-// protocol still runs, demand-driven, but cannot beat one core).
-func BenchmarkRegionSplit(b *testing.B) {
-	const (
-		mids         = 64
-		leavesPerMid = 600 // 38 400 rows, all inside one region
-	)
-	e := func(s string) Term { return NewIRI("http://ex.org/" + s) }
-	typ := NewIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-	var ts []Triple
-	ts = append(ts, Triple{S: e("hub"), P: typ, O: e("H")})
-	for m := 0; m < mids; m++ {
-		mid := e(fmt.Sprintf("mid%d", m))
-		ts = append(ts, Triple{S: mid, P: typ, O: e("M")})
-		ts = append(ts, Triple{S: e("hub"), P: e("p"), O: mid})
-		for l := 0; l < leavesPerMid; l++ {
-			leaf := e(fmt.Sprintf("leaf%d_%d", m, l))
-			ts = append(ts, Triple{S: mid, P: e("q"), O: leaf})
-		}
-	}
-	const q = `PREFIX ex: <http://ex.org/>
-PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-SELECT ?x ?y WHERE { ?h rdf:type ex:H . ?h ex:p ?x . ?x ex:q ?y . }`
-	const want = mids * leavesPerMid
-	ctx := context.Background()
-
-	parallel := runtime.GOMAXPROCS(0)
-	if parallel < 4 {
-		parallel = 4 // still exercises the split protocol on small boxes
-	}
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel", parallel},
-	} {
-		store := New(ts, &Options{Workers: v.workers})
-		p, err := store.Prepare(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n, err := p.Count(ctx)
-				if err != nil || n != want {
-					b.Fatalf("counted %d (%v), want %d", n, err, want)
-				}
-			}
-			b.ReportMetric(float64(want)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
 // BenchmarkCostOrder is the statistics-cost-model acceptance benchmark: the
 // skewed two-path instance where the paper's candidate-population heuristic
 // ranks the wrong root-to-leaf path first (the large-population path is the

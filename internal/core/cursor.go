@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -184,35 +183,12 @@ func (f *cframe) undo(st *searchState) {
 	}
 }
 
-// revertInto clears, in dst, the bindings this frame currently holds —
-// without touching the frame itself. It is the cross-state sibling of undo,
-// used when a region split hands a CLONE of the searchState to a thief: the
-// clone must not carry the bindings of the frames the thief is not taking,
-// while the victim's frames keep their flags for their own later undo.
-func (f *cframe) revertInto(dst *searchState) {
-	switch f.kind {
-	case cfSearch:
-		if f.bound && dst.used != nil {
-			dst.used[f.v] = false
-		}
-	case cfWild:
-		if f.setVar {
-			dst.varBind[dst.m.q.Edges[f.edge].PredVar] = NoID
-		}
-		dst.edgeBind[f.edge] = NoID
-	case cfExpand:
-		if f.expSet {
-			dst.used[f.expCur] = false
-		}
-	}
-}
-
 // abort abandons a suspended region mid-search, unwinding the frame stack
 // and undoing every binding the frames still hold, exactly as each frame's
 // own re-entry would. After abort the searchState is clean for the next
 // region: required whenever the state outlives the abandoned region, as in
-// the pipeline's span-quota cutoffs, where a worker that dropped a
-// suspended cursor without unwinding would silently prune later spans
+// the pipeline's batch-limit cutoffs, where a worker that dropped a
+// suspended cursor without unwinding would silently prune its later batches
 // against stale used[]/varBind[] entries.
 func (rc *regionCursor) abort() {
 	st := rc.st
@@ -221,94 +197,6 @@ func (rc *regionCursor) abort() {
 	}
 	rc.stack = rc.stack[:0]
 	rc.finishExpansion()
-}
-
-// cloneForSplit copies the bindings of a suspended search into a fresh,
-// independently resumable searchState for a region thief: the mapping/edge/
-// variable/injectivity arrays and the NEC snapshots are deep copies, the
-// scratch buffers are fresh (per-goroutine), and the visitor, profile sink
-// and stop flag are the thief's own. The shared region, plan and matcher are
-// immutable for the rest of the region's life and stay shared.
-func (st *searchState) cloneForSplit(visit Visitor, prof *ProfileResult, stop *atomic.Bool) *searchState {
-	n := &searchState{
-		m:        st.m,
-		ctx:      st.ctx,
-		visit:    visit,
-		rg:       st.rg,
-		plan:     st.plan,
-		mapping:  append([]uint32(nil), st.mapping...),
-		edgeBind: append([]uint32(nil), st.edgeBind...),
-		varBind:  append([]uint32(nil), st.varBind...),
-		profile:  prof,
-		stop:     stop,
-		candBuf:  make([][]uint32, len(st.candBuf)),
-		adjBuf:   make([][]uint32, len(st.adjBuf)),
-		listsBuf: make([][][]uint32, len(st.listsBuf)),
-	}
-	if st.used != nil {
-		n.used = append([]bool(nil), st.used...)
-	}
-	if st.m.red != nil {
-		// The class snapshots alias the victim's per-depth candBuf scratch,
-		// which later victim regions overwrite — the thief needs owned copies.
-		n.classCands = make([][]uint32, len(st.classCands))
-		for i, c := range st.classCands {
-			n.classCands[i] = append([]uint32(nil), c...)
-		}
-		n.fullMap = append([]uint32(nil), st.fullMap...)
-		n.fullEdges = append([]uint32(nil), st.fullEdges...)
-	}
-	return n
-}
-
-// splitOff carves the tail half of this suspended cursor's bottom-most
-// pending candidate loop into a new, independently resumable cursor, or
-// returns nil when no split is possible. The caller must hold whatever lock
-// serializes this cursor's resumes (the pipeline's region handle): the
-// victim keeps iterating the head of the split frame's list, the thief
-// enumerates the stolen tail over a cloned searchState.
-//
-// The split point must be the bottom-most frame with iterations remaining:
-// every frame below it is exhausted, so every row the victim still produces
-// (the current subtree plus the head candidates) precedes every stolen-tail
-// row in the sequential enumeration — which is exactly the contract the
-// pipeline's span splicing needs. Only cfSearch frames split: wildcard label
-// loops and NEC expansions are cheap per iteration and not worth cloning.
-func (rc *regionCursor) splitOff(visit Visitor, prof *ProfileResult, stop *atomic.Bool) *regionCursor {
-	si := -1
-	for i := range rc.stack {
-		if rc.stack[i].i < len(rc.stack[i].list) {
-			si = i
-			break
-		}
-	}
-	if si < 0 {
-		return nil
-	}
-	f := &rc.stack[si]
-	if f.kind != cfSearch {
-		return nil
-	}
-	remaining := len(f.list) - f.i
-	if remaining < 2 {
-		return nil
-	}
-	take := remaining / 2
-	stolen := append([]uint32(nil), f.list[len(f.list)-take:]...)
-	f.list = f.list[:len(f.list)-take]
-
-	nst := rc.st.cloneForSplit(visit, prof, stop)
-	// The clone copied the victim's live bindings wholesale; the frames at
-	// and above the split point belong to the victim's current subtree, so
-	// their bindings must not leak into the thief's state.
-	for i := len(rc.stack) - 1; i >= si; i-- {
-		rc.stack[i].revertInto(nst)
-	}
-	nrc := &regionCursor{st: nst}
-	nrc.stack = append(nrc.stack, cframe{
-		kind: cfSearch, dc: f.dc, u: f.u, list: stolen,
-	})
-	return nrc
 }
 
 // step runs the top frame's loop until it pushes a frame, pops itself, or
@@ -666,8 +554,7 @@ func (rc *regionCursor) finishExpansion() {
 // cancellation abandons the regions not yet explored. A suspended cursor
 // plus its candidate range describes exactly the work left to do: the
 // pipeline schedules the same machine one region at a time (suspended on
-// backpressure, its remaining range stealable), and it is the natural seam
-// for distributed sharding.
+// backpressure), and it is the natural seam for distributed sharding.
 //
 // A Cursor is single-goroutine; it holds no locks and spawns nothing.
 type Cursor struct {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -246,8 +245,8 @@ func TestCursorCancellation(t *testing.T) {
 // skewedInstance builds an instance whose FIRST region dwarfs the rest: hub
 // 0 has a fan-out of big leaves while the remaining hubs have small ones, so
 // a two-leaf query yields big² rows from one region and tiny trickles from
-// the others — the shape that used to buffer a whole region and now
-// exercises suspended cursors and work stealing.
+// the others — the shape that would buffer a whole region without the
+// pipeline's suspended cursors and per-row backpressure.
 func skewedInstance(big, smallHubs, small int) (*graph.Graph, *QueryGraph) {
 	fHub, fLeaf := uint32(0), uint32(1)
 	b := graph.NewBuilder()
@@ -278,9 +277,9 @@ func skewedInstance(big, smallHubs, small int) (*graph.Graph, *QueryGraph) {
 }
 
 // heavyTailInstance puts the expensive regions at the END of the candidate
-// range: many trivial hubs followed by a block of heavy ones. Workers that
-// drain the trivial batches go idle while one worker grinds through the
-// heavy tail batch — exactly the shape adaptive splitting exists for.
+// range: many trivial hubs followed by a block of heavy ones, so workers
+// that drain the trivial batches go idle while one worker grinds through
+// the heavy tail batch and the emitter waits on it.
 func heavyTailInstance(light, heavy, heavyFan int) (*graph.Graph, *QueryGraph) {
 	fHub, fLeaf := uint32(0), uint32(1)
 	b := graph.NewBuilder()
@@ -312,71 +311,10 @@ func heavyTailInstance(light, heavy, heavyFan int) (*graph.Graph, *QueryGraph) {
 	return g, q
 }
 
-// TestPipelineStealSplit: with the heavy regions packed into the tail
-// batches, workers that finish the light work steal the remaining range of
-// the loaded batches, and the merged output must still be the exact
-// sequential sequence — for streaming, Collect, and Count alike.
-func TestPipelineStealSplit(t *testing.T) {
-	// 930 regions, 4 workers: chunk = 930/32+1 = 30, so the 30 heavy
-	// regions land in exactly the last batch. The three workers that drain
-	// the trivial batches find the shared cursor exhausted while the last
-	// batch's owner is grinding 30 × 1600-row regions — they must steal.
-	g, q := heavyTailInstance(900, 30, 40)
-	opts := Optimized()
-	opts.NoNEC = true
-	opts.Workers = 1
-	want := streamKeys(t, g, q, Homomorphism, opts)
-	wantN, err := Count(context.Background(), g, q, Homomorphism, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Streaming with a tiny row budget parks the heavy batch's owner on
-	// backpressure with a suspended cursor; pausing the consumer once inside
-	// the heavy range hands the CPU to the idle workers (on a single-core
-	// scheduler the emitter/owner channel ping-pong would otherwise starve
-	// them), which must then find the shared cursor exhausted and split the
-	// owner's remaining range.
-	before := pipelineSteals.Load()
-	par := opts
-	par.Workers = 4
-	par.StreamBuffer = 8
-	var got []string
-	rows := 0
-	n, err := Stream(context.Background(), g, q, Homomorphism, par, func(mt Match) bool {
-		rows++
-		if rows == 1000 { // inside heavy region 0: 29 heavy regions still pending
-			time.Sleep(5 * time.Millisecond)
-		}
-		got = append(got, matchKey(mt))
-		return true
-	})
-	if err != nil || n != len(want) {
-		t.Fatalf("stream: %d rows (%v), want %d", n, err, len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("stream row %d:\n got %s\nwant %s", i, got[i], want[i])
-		}
-	}
-	if steals := pipelineSteals.Load() - before; steals == 0 {
-		t.Error("no steals on the heavy-tail stream: adaptive splitting never engaged")
-	}
-
-	// Count takes the same split paths; totals must match sequentially.
-	gotN, err := Count(context.Background(), g, q, Homomorphism, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotN != wantN {
-		t.Fatalf("count: %d, want %d", gotN, wantN)
-	}
-}
-
 // TestCappedParallelCountBounded: MaxSolutions must bound parallel COUNT
-// work even when one region holds millions of solutions — the span-local
+// work even when one region holds millions of solutions — the batch-local
 // cutoff stops the cursor mid-region (a regression here once cost ~700x:
-// workers with no limit searched whole spans before delivering any count).
+// workers with no limit searched whole batches before delivering any count).
 func TestCappedParallelCountBounded(t *testing.T) {
 	g, q := skewedInstance(2000, 0, 0) // one region, 4M rows
 	opts := Optimized()
@@ -391,39 +329,6 @@ func TestCappedParallelCountBounded(t *testing.T) {
 	}
 	if prof.SearchNodes > 200_000 {
 		t.Fatalf("capped count searched %d nodes of a 4M-row region: early termination lost", prof.SearchNodes)
-	}
-}
-
-// TestStealSplice unit-tests the splitting protocol itself, no scheduler
-// involved: halving of the victim's range, chain splicing in region order,
-// recursive re-splits, and refusal to steal from a spent range.
-func TestStealSplice(t *testing.T) {
-	ps := &pipeState{}
-	owner := &spanWork{sub: newSpan(), next: 5, hi: 25}
-	ps.stealable = append(ps.stealable, owner)
-
-	s1 := ps.steal()
-	if s1 == nil || s1.next != 15 || s1.hi != 25 || owner.hi != 15 {
-		t.Fatalf("first steal: got %+v, owner hi %d", s1, owner.hi)
-	}
-	if owner.sub.next != s1.sub {
-		t.Fatal("first steal did not splice after the owner's span")
-	}
-	owner.next = 13 // owner progressed: avail 2, so s1's [15,25) is largest
-	s2 := ps.steal()
-	if s2 == nil || s2.next != 20 || s2.hi != 25 || s1.hi != 20 {
-		t.Fatalf("second steal: got %+v, s1 hi %d", s2, s1.hi)
-	}
-	if s1.sub.next != s2.sub || s2.sub.next != nil {
-		t.Fatal("second steal spliced out of order")
-	}
-	// Drain the ranges; spent spans must become unstealable.
-	owner.next, s1.next, s2.next = owner.hi, s1.hi, s2.hi
-	if s := ps.steal(); s != nil {
-		t.Fatalf("stole from spent ranges: %+v", s)
-	}
-	if len(ps.stealable) != 0 {
-		t.Fatalf("spent spans not dropped: %d left", len(ps.stealable))
 	}
 }
 

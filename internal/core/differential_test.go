@@ -287,22 +287,37 @@ func TestDifferentialNEC(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallel cross-checks the parallel driver.
+// TestDifferentialParallel cross-checks the parallel pipeline against brute
+// force: under both semantics and at Workers 2 and 4, Collect must return
+// exactly the brute-force row multiset and Count its size.
 func TestDifferentialParallel(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
 		dataV := 8 + r.Intn(10)
 		g := randomData(r, dataV, 3, 3, dataV*3)
 		q := randomQuery(r, 2+r.Intn(3), 3, 3, dataV)
-		want := len(bruteForceKeys(g, q, Homomorphism))
-		opts := Optimized()
-		opts.Workers = 4
-		got, err := Count(context.Background(), g, q, Homomorphism, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: parallel %d, brute force %d\nquery: %+v", trial, got, want, q)
+		for _, sem := range []Semantics{Homomorphism, Isomorphism} {
+			want := bruteForceKeys(g, q, sem)
+			for _, workers := range []int{2, 4} {
+				opts := Optimized()
+				opts.Workers = workers
+				got, err := Count(context.Background(), g, q, sem, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != len(want) {
+					t.Fatalf("trial %d %v workers=%d: parallel Count %d, brute force %d\nquery: %+v",
+						trial, sem, workers, got, len(want), q)
+				}
+				sols, err := Collect(context.Background(), g, q, sem, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sameKeys(matchKeys(sols), want); d != "" {
+					t.Fatalf("trial %d %v workers=%d: parallel Collect vs brute force: %s\nquery: %+v",
+						trial, sem, workers, d, q)
+				}
+			}
 		}
 	}
 }

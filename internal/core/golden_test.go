@@ -26,7 +26,7 @@ type goldenCell struct {
 }
 
 // TestSequentialGolden pins the sequential enumeration byte for byte: for
-// every pipelineInstances shape, both semantics, the NEC reduction on and
+// every goldenInstances shape, both semantics, the NEC reduction on and
 // off, and the Optimized and Baseline configurations at Workers = 1, the
 // ordered row sequence (hashed) and every ProfileResult counter must equal
 // the table below. The table was recorded from the recursive SubgraphSearch
@@ -38,7 +38,7 @@ func TestSequentialGolden(t *testing.T) {
 		name string
 		opts Opts
 	}{{"optimized", Optimized()}, {"baseline", Baseline()}}
-	for _, inst := range pipelineInstances() {
+	for _, inst := range goldenInstances() {
 		for _, sem := range []Semantics{Homomorphism, Isomorphism} {
 			for _, noNEC := range []bool{false, true} {
 				for _, cfg := range configs {

@@ -53,10 +53,12 @@ type Opts struct {
 	// Workers sets the number of goroutines processing starting vertices
 	// (paper §5.2). Values < 2 mean sequential execution. Stream, Collect
 	// and Count all honor it through the ordered region pipeline: workers
-	// claim candidate-region batches, search them into buffers, and a
-	// reorder stage replays the buffers in sequential region order, so row
-	// order, early termination (a visitor returning false, MaxSolutions)
-	// and cancellation behave exactly as in a sequential run.
+	// claim candidate-region batches from a shared counter and stream each
+	// batch's rows through its own channel, and the calling goroutine
+	// replays the batches in sequential region order, so row order, early
+	// termination (a visitor returning false, MaxSolutions) and
+	// cancellation behave exactly as in a sequential run. No more workers
+	// start than a run has batches.
 	Workers int
 	// StreamBuffer bounds the parallel pipeline's buffering in ROWS: the
 	// number of not-yet-delivered solutions workers may hold ahead of the

@@ -58,14 +58,17 @@ func streamKeys(t *testing.T, g graph.View, q *QueryGraph, sem Semantics, opts O
 	return keys
 }
 
-// pipelineInstances is the shared corpus of (graph, query) shapes: wide
-// bipartite (many regions), the Fig. 1 instance (joins, non-tree edges),
-// the skewed Fig. 2 star (empty result), and NEC-class stars.
-func pipelineInstances() []struct {
+type instance struct {
 	name string
 	g    *graph.Graph
 	q    *QueryGraph
-} {
+}
+
+// goldenInstances is the corpus TestSequentialGolden's table was recorded
+// on: wide bipartite (many regions), the Fig. 1 instance (joins, non-tree
+// edges), the skewed Fig. 2 star (empty result), NEC-class stars, and a
+// point-shaped query.
+func goldenInstances() []instance {
 	big, bq := bipartiteInstance(48)
 	f1g, f1q := fig1Data(), fig1Query()
 	f2g, f2q, _, _, _ := fig2Instance()
@@ -75,17 +78,26 @@ func pipelineInstances() []struct {
 	pg, _ := starInstance(12, 4, 1)
 	pq := NewQueryGraph()
 	pq.AddVertex([]uint32{1}, NoID) // the leaf label
-	return []struct {
-		name string
-		g    *graph.Graph
-		q    *QueryGraph
-	}{
+	return []instance{
 		{"bipartite", big, bq},
 		{"fig1", f1g, f1q},
 		{"fig2-empty", f2g, f2q},
 		{"nec-star", sg, sq},
 		{"point", pg, pq},
 	}
+}
+
+// pipelineInstances is the shared differential corpus: the golden shapes
+// plus two skewed ones — all rows in ONE candidate region (one batch, so
+// one worker however many are configured), and heavy regions packed into
+// the last batch behind many trivial ones.
+func pipelineInstances() []instance {
+	rg, rq := singleRegionInstance(96, 40)
+	hg, hq := heavyTailInstance(120, 4, 20)
+	return append(goldenInstances(),
+		instance{"single-region", rg, rq},
+		instance{"heavy-tail", hg, hq},
+	)
 }
 
 // TestPipelineOrderDifferential is the tentpole's acceptance test at the
@@ -275,15 +287,14 @@ func TestPipelineProfileMergesToSequentialTotals(t *testing.T) {
 	}
 }
 
-// TestRunSpanAbandonedCursorNoPollution: when the span-local MaxSolutions
+// TestRunSpanAbandonedCursorNoPollution: when the batch-local MaxSolutions
 // cutoff abandons a region mid-enumeration, the suspended cursor's frames
 // still hold used[] flags and predicate-variable bindings in the worker's
-// searchState. runSpan must unwind them (regionCursor.abort) before the
-// state serves another span — a worker that later steals a range preceding
-// the limit cut would otherwise silently drop that range's rows. The test
-// drives runSpan directly: a heavy region that trips the cutoff, then a
-// light region through the same worker whose every row reuses a data vertex
-// (or edge label) the abandoned search had bound.
+// searchState. runBatch must unwind them (regionCursor.abort) before the
+// state serves the worker's next batch, which would otherwise silently drop
+// rows. The test drives runBatch directly: a heavy region that trips the
+// cutoff, then a light region through the same worker whose every row
+// reuses a data vertex (or edge label) the abandoned search had bound.
 func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 	fHub, fLeaf := uint32(0), uint32(1)
 	// Hub 0 sees all six shared leaves; hub 1 only leaves 2 and 3 — the very
@@ -351,7 +362,7 @@ func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 				opts.Workers = 1
 				seq := streamKeys(t, g, q, tc.sem, opts)
 				if len(seq)-tc.lightRows <= limit {
-					t.Fatalf("heavy region too small (%d total rows) to trip the span cutoff at %d", len(seq), limit)
+					t.Fatalf("heavy region too small (%d total rows) to trip the batch cutoff at %d", len(seq), limit)
 				}
 
 				m := newMatcher(context.Background(), g, q, tc.sem, opts)
@@ -365,35 +376,29 @@ func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 					collect: true, limit: limit, quota: 64,
 					done: make(chan struct{}),
 				}
-				w := &pipeWorker{ps: ps}
-				w.st = newSearchState(m, func(mt Match) bool {
-					w.buf = append(w.buf, mt.Clone())
-					return true
-				}, 0)
-				w.st.stop = &ps.stop
-				w.rg = newRegion(len(m.q.Vertices))
+				w := ps.newWorker()
 
 				runOne := func(lo, hi int) []string {
-					sw := &spanWork{sub: newSpan(), next: lo, hi: hi}
+					segs := make(chan segment, 1)
 					out := make(chan []string, 1)
 					go func() {
 						var keys []string
-						for seg := range sw.sub.segs {
+						for seg := range segs {
 							for _, mt := range seg.sols {
 								keys = append(keys, matchKey(mt))
 							}
 						}
 						out <- keys
 					}()
-					w.runSpan(sw)
+					w.runBatch(lo, hi, segs)
 					return <-out
 				}
 
-				// The heavy region exceeds the span limit: runSpan abandons it
+				// The heavy region exceeds the batch limit: runBatch abandons it
 				// mid-enumeration after exactly limit rows.
 				heavy := runOne(0, 1)
 				if len(heavy) != limit {
-					t.Fatalf("heavy span delivered %d rows, want the span limit %d", len(heavy), limit)
+					t.Fatalf("heavy batch delivered %d rows, want the batch limit %d", len(heavy), limit)
 				}
 				for i := range heavy {
 					if heavy[i] != seq[i] {
@@ -411,17 +416,16 @@ func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 						t.Errorf("varBind[%d] = %d still bound after abandoning the heavy region", i, bnd)
 					}
 				}
-				// The light region through the same worker state stands in for
-				// a stolen earlier range the emitter still replays: its rows
-				// (up to the fresh span's own limit) must match the sequential
-				// tail exactly.
+				// The light region is the worker's next batch: its rows (up to
+				// the fresh batch's own limit) must match the sequential tail
+				// exactly.
 				want := seq[len(seq)-tc.lightRows:]
 				if limit < len(want) {
 					want = want[:limit]
 				}
 				light := runOne(1, 2)
 				if len(light) != len(want) {
-					t.Fatalf("light span delivered %d rows, want %d — stale bindings dropped rows", len(light), len(want))
+					t.Fatalf("light batch delivered %d rows, want %d — stale bindings dropped rows", len(light), len(want))
 				}
 				for i := range light {
 					if light[i] != want[i] {

@@ -73,7 +73,7 @@ var driverFuncs = map[string]bool{
 	"step":      true,
 	"resume":    true,
 	"descend":   true,
-	"runSpan":   true,
+	"runBatch":  true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
