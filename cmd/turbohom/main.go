@@ -75,53 +75,32 @@ func main() {
 		return
 	}
 
+	sf := addStoreFlags(flag.CommandLine)
 	var (
-		dataFile  = flag.String("data", "", "N-Triples file to load")
-		dataset   = flag.String("dataset", "", "generate a benchmark dataset: lubm, bsbm, yago, btc")
-		scale     = flag.Int("scale", 1, "dataset scale factor (universities / products / people)")
 		queryStr  = flag.String("query", "", "SPARQL query text")
 		queryFile = flag.String("query-file", "", "file containing the SPARQL query")
 		queryID   = flag.String("id", "", "benchmark query ID (e.g. Q2) from the generated dataset")
-		transf    = flag.String("transform", "typeaware", "graph transformation: typeaware or direct")
-		noopt     = flag.Bool("noopt", false, "disable the TurboHOM++ optimization suite")
-		workers   = flag.Int("workers", 0, "parallel workers over candidate regions (0 = all CPUs, 1 = sequential)")
-		streamBuf = flag.Int("stream-buffer", 0, "max rows parallel streaming buffers ahead of the consumer (0 = 64x workers)")
 		countOnly = flag.Bool("count", false, "print only the solution count")
 		explain   = flag.Bool("explain", false, "print the matching order, cost estimates, and filter counters instead of rows")
-		costOrder = flag.Bool("costorder", false, "rank matching orders by graph statistics instead of the candidate-population heuristic")
 		updateF   = flag.String("update", "", "N-Triples file to insert concurrently while the query runs")
 		compact   = flag.Bool("compact", false, "compact the delta overlay (after -update finishes, if given; durable stores also fold the WAL into the snapshot)")
 		saveDir   = flag.String("save", "", "persist the loaded store as a snapshot directory")
-		loadDir   = flag.String("load", "", "open a durable store from a snapshot directory (instead of -data; -dataset then only names the -id workload)")
-		syncWAL   = flag.Bool("syncwal", false, "fsync the write-ahead log on every insert/delete batch")
 		timeIt    = flag.Bool("time", false, "apply the paper's timing protocol and report elapsed ms")
 		maxRows   = flag.Int("max-rows", 20, "stop after printing this many rows (0 = unlimited)")
 	)
 	flag.Parse()
 
-	if err := run(ctx, *dataFile, *dataset, *scale, *queryStr, *queryFile, *queryID,
-		*transf, *noopt, *costOrder, *workers, *streamBuf, *countOnly, *explain, *timeIt, *maxRows, *updateF, *compact,
-		*saveDir, *loadDir, *syncWAL); err != nil {
+	if err := run(ctx, sf, *queryStr, *queryFile, *queryID,
+		*countOnly, *explain, *timeIt, *maxRows, *updateF, *compact, *saveDir); err != nil {
 		fmt.Fprintln(os.Stderr, "turbohom:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, dataFile, dataset string, scale int, queryStr, queryFile, queryID,
-	transf string, noopt, costOrder bool, workers, streamBuf int, countOnly, explain, timeIt bool, maxRows int, updateFile string, compact bool,
-	saveDir, loadDir string, syncWAL bool) (retErr error) {
+func run(ctx context.Context, sf *storeFlags, queryStr, queryFile, queryID string,
+	countOnly, explain, timeIt bool, maxRows int, updateFile string, compact bool, saveDir string) (retErr error) {
 
-	opts := &turbohom.Options{Workers: workers, StreamBuffer: streamBuf, DisableOptimizations: noopt, CostOrder: costOrder, SyncWAL: syncWAL}
-	switch transf {
-	case "typeaware":
-		opts.Transformation = turbohom.TypeAware
-	case "direct":
-		opts.Transformation = turbohom.Direct
-	default:
-		return fmt.Errorf("unknown transformation %q", transf)
-	}
-
-	store, err := openStore(dataFile, dataset, scale, loadDir, opts)
+	store, err := sf.open()
 	if err != nil {
 		return err
 	}
@@ -149,10 +128,10 @@ func run(ctx context.Context, dataFile, dataset string, scale int, queryStr, que
 	// triples came from the generator, a file, or a loaded snapshot.
 	var queries []datagen.Query
 	if queryID != "" {
-		if dataset == "" {
+		if sf.dataset == "" {
 			return fmt.Errorf("-id needs -dataset to name the workload")
 		}
-		queries, err = workloadQueries(dataset)
+		queries, err = workloadQueries(sf.dataset)
 		if err != nil {
 			return err
 		}
@@ -177,7 +156,7 @@ func run(ctx context.Context, dataFile, dataset string, scale int, queryStr, que
 			}
 		}
 		if query == "" {
-			return fmt.Errorf("query %s not part of dataset %s", queryID, dataset)
+			return fmt.Errorf("query %s not part of dataset %s", queryID, sf.dataset)
 		}
 	}
 	if query == "" {
@@ -354,26 +333,58 @@ func streamInserts(ctx context.Context, store *turbohom.Store, file string) erro
 	return nil
 }
 
-// openStore resolves the three data sources shared by the query CLI and
-// `serve`: a durable snapshot directory (-load), an N-Triples file (-data),
-// or a generated benchmark dataset (-dataset/-scale).
-func openStore(dataFile, dataset string, scale int, loadDir string, opts *turbohom.Options) (*turbohom.Store, error) {
+// storeFlags are the flags the query CLI and `serve` share: where the
+// store's triples come from and the options it opens with.
+type storeFlags struct {
+	dataFile, dataset, loadDir, transform string
+	scale                                 int
+	opts                                  turbohom.Options
+}
+
+// addStoreFlags registers the store flags on fs.
+func addStoreFlags(fs *flag.FlagSet) *storeFlags {
+	sf := &storeFlags{}
+	fs.StringVar(&sf.dataFile, "data", "", "N-Triples file to load")
+	fs.StringVar(&sf.dataset, "dataset", "", "generate a benchmark dataset: lubm, bsbm, yago, btc")
+	fs.IntVar(&sf.scale, "scale", 1, "dataset scale factor (universities / products / people)")
+	fs.StringVar(&sf.loadDir, "load", "", "open a durable store from a snapshot directory (instead of -data; -dataset then only names the -id workload)")
+	fs.BoolVar(&sf.opts.SyncWAL, "syncwal", false, "fsync the write-ahead log on every insert/delete batch")
+	fs.StringVar(&sf.transform, "transform", "typeaware", "graph transformation: typeaware or direct")
+	fs.BoolVar(&sf.opts.DisableOptimizations, "noopt", false, "disable the TurboHOM++ optimization suite")
+	fs.IntVar(&sf.opts.Workers, "workers", 0, "parallel workers per query over candidate regions (0 = all CPUs, 1 = sequential)")
+	fs.IntVar(&sf.opts.StreamBuffer, "stream-buffer", 0, "max rows a query buffers ahead of its consumer (0 = 64x workers)")
+	fs.BoolVar(&sf.opts.CostOrder, "costorder", false, "rank matching orders by graph statistics instead of the candidate-population heuristic")
+	return sf
+}
+
+// open resolves -transform and opens the store from one of three sources:
+// a durable snapshot directory (-load), an N-Triples file (-data), or a
+// generated benchmark dataset (-dataset/-scale).
+func (sf *storeFlags) open() (*turbohom.Store, error) {
+	switch sf.transform {
+	case "typeaware":
+		sf.opts.Transformation = turbohom.TypeAware
+	case "direct":
+		sf.opts.Transformation = turbohom.Direct
+	default:
+		return nil, fmt.Errorf("unknown transformation %q", sf.transform)
+	}
 	switch {
-	case loadDir != "":
+	case sf.loadDir != "":
 		// -dataset stays legal alongside -load: it names the benchmark
 		// workload for -id without generating any triples.
-		if dataFile != "" {
+		if sf.dataFile != "" {
 			return nil, fmt.Errorf("-load replaces -data")
 		}
-		return turbohom.OpenDir(loadDir, opts)
-	case dataFile != "":
-		return turbohom.OpenFile(dataFile, opts)
-	case dataset != "":
-		ds, err := generated(dataset, scale)
+		return turbohom.OpenDir(sf.loadDir, &sf.opts)
+	case sf.dataFile != "":
+		return turbohom.OpenFile(sf.dataFile, &sf.opts)
+	case sf.dataset != "":
+		ds, err := generated(sf.dataset, sf.scale)
 		if err != nil {
 			return nil, err
 		}
-		return turbohom.New(ds.Triples, opts), nil
+		return turbohom.New(ds.Triples, &sf.opts), nil
 	}
 	return nil, fmt.Errorf("one of -data, -dataset, or -load is required")
 }

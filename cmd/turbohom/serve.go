@@ -37,18 +37,9 @@ import (
 //	curl -sD- 'http://localhost:3030/sparql?query=...' | grep X-Turbohom-Cache
 func serveMain(ctx context.Context, args []string) (retErr error) {
 	fs := flag.NewFlagSet("turbohom serve", flag.ExitOnError)
+	sf := addStoreFlags(fs)
 	var (
 		addr       = fs.String("addr", ":3030", "listen address")
-		dataFile   = fs.String("data", "", "N-Triples file to load")
-		dataset    = fs.String("dataset", "", "generate a benchmark dataset: lubm, bsbm, yago, btc")
-		scale      = fs.Int("scale", 1, "dataset scale factor")
-		loadDir    = fs.String("load", "", "open a durable store from a snapshot directory")
-		syncWAL    = fs.Bool("syncwal", false, "fsync the write-ahead log on every update")
-		transf     = fs.String("transform", "typeaware", "graph transformation: typeaware or direct")
-		noopt      = fs.Bool("noopt", false, "disable the TurboHOM++ optimization suite")
-		workers    = fs.Int("workers", 0, "parallel workers per query (0 = all CPUs)")
-		streamBuf  = fs.Int("stream-buffer", 0, "max rows a query buffers ahead of its client (0 = 64x workers)")
-		costOrder  = fs.Bool("costorder", false, "rank matching orders by graph statistics")
 		timeout    = fs.Duration("timeout", 0, "per-query wall budget (0 = 30s, negative = unlimited)")
 		maxRows    = fs.Int("max-rows", 0, "truncate SELECT responses after this many rows, announced in the X-Turbohom-Truncated trailer (0 = unlimited)")
 		cacheSize  = fs.Int("prepared-cache", 0, "prepared-query LRU entries (0 = 128, negative disables)")
@@ -59,23 +50,7 @@ func serveMain(ctx context.Context, args []string) (retErr error) {
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	opts := &turbohom.Options{
-		Workers:              *workers,
-		StreamBuffer:         *streamBuf,
-		DisableOptimizations: *noopt,
-		CostOrder:            *costOrder,
-		SyncWAL:              *syncWAL,
-	}
-	switch *transf {
-	case "typeaware":
-		opts.Transformation = turbohom.TypeAware
-	case "direct":
-		opts.Transformation = turbohom.Direct
-	default:
-		return fmt.Errorf("unknown transformation %q", *transf)
-	}
-
-	store, err := openStore(*dataFile, *dataset, *scale, *loadDir, opts)
+	store, err := sf.open()
 	if err != nil {
 		return err
 	}

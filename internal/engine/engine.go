@@ -18,9 +18,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,12 +110,9 @@ type Result struct {
 // change: candidate statistics, label views, and empty-by-unknown-term
 // decisions.
 //
-// Compilations are kept in a bounded per-epoch cache: acquiring plans for a
-// snapshot pins that snapshot's entry for the execution's lifetime, and
-// releasing the last pin of a superseded epoch drops the entry — so the
-// cache holds the current epoch's compilation plus exactly the superseded
-// ones still referenced by in-flight cursors, never an unbounded history of
-// past epochs.
+// The cache holds only the newest compilation. Every execution — a cursor
+// included — holds its own planEntry, so a superseded compilation lives
+// exactly as long as the executions over it, and no longer.
 type PreparedQuery struct {
 	e      *Engine
 	q      *sparql.Query
@@ -128,27 +123,24 @@ type PreparedQuery struct {
 	keyOnce sync.Once
 	key     string
 
-	mu    sync.Mutex
-	plans map[uint64]*planEntry
+	mu     sync.Mutex
+	latest *planEntry
 }
 
-// planEntry is one snapshot's compilation of a prepared query, reference-
-// counted by the executions pinning it.
+// planEntry is one snapshot's compilation of a prepared query.
 type planEntry struct {
 	data  *transform.Data
 	plans []*plan
 	fp    *cache.Footprint
-	pins  int
 }
 
-// acquirePlans returns the plans compiled against snapshot d, pinned for
-// one execution. Every acquire must be paired with exactly one releasePlans
-// once the execution (and any cursor over it) is done.
-func (pq *PreparedQuery) acquirePlans(d *transform.Data) (*planEntry, error) {
+// plansFor returns the plans compiled against snapshot d, compiling them
+// unless d's are the newest cached. A compilation for an older snapshot
+// never replaces a newer one.
+func (pq *PreparedQuery) plansFor(d *transform.Data) (*planEntry, error) {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
-	if pe, ok := pq.plans[d.Epoch]; ok && pe.data == d {
-		pe.pins++
+	if pe := pq.latest; pe != nil && pe.data == d {
 		return pe, nil
 	}
 	plans := make([]*plan, 0, len(pq.groups))
@@ -159,45 +151,11 @@ func (pq *PreparedQuery) acquirePlans(d *transform.Data) (*planEntry, error) {
 		}
 		plans = append(plans, p)
 	}
-	pe := &planEntry{data: d, plans: plans, fp: pq.e.plansFootprint(plans), pins: 1}
-	pq.plans[d.Epoch] = pe
-	pq.sweepLocked()
+	pe := &planEntry{data: d, plans: plans, fp: pq.e.plansFootprint(plans)}
+	if pq.latest == nil || pq.latest.data.Epoch <= d.Epoch {
+		pq.latest = pe
+	}
 	return pe, nil
-}
-
-// releasePlans drops one pin. The last pin of an entry whose snapshot has
-// been superseded removes it from the cache; the current snapshot's entry is
-// kept for the next execution.
-func (pq *PreparedQuery) releasePlans(pe *planEntry) {
-	pq.mu.Lock()
-	defer pq.mu.Unlock()
-	pe.pins--
-	if pe.pins == 0 && pe.data != pq.e.Data() {
-		if cur, ok := pq.plans[pe.data.Epoch]; ok && cur == pe {
-			delete(pq.plans, pe.data.Epoch)
-		}
-	}
-}
-
-// sweepLocked drops unpinned entries of superseded epochs. Deletion order
-// over the map is irrelevant: every unpinned stale entry goes.
-func (pq *PreparedQuery) sweepLocked() {
-	cur := pq.e.Data()
-	maps.DeleteFunc(pq.plans, func(_ uint64, pe *planEntry) bool {
-		return pe.pins == 0 && pe.data != cur
-	})
-}
-
-// cachedPlanEpochs lists the epochs with live compiled plans (test hook).
-func (pq *PreparedQuery) cachedPlanEpochs() []uint64 {
-	pq.mu.Lock()
-	defer pq.mu.Unlock()
-	epochs := make([]uint64, 0, len(pq.plans))
-	for epoch := range pq.plans {
-		epochs = append(epochs, epoch)
-	}
-	slices.Sort(epochs)
-	return epochs
 }
 
 // CacheKey identifies the query's result set across textual variations: the
@@ -241,15 +199,12 @@ func (e *Engine) PrepareParsed(q *sparql.Query) (*PreparedQuery, error) {
 		vars:   q.ProjectedVars(),
 		vi:     buildVarIndex(q),
 		groups: e.expandGroups(q.Where),
-		plans:  make(map[uint64]*planEntry),
 	}
 	// Compile eagerly against the current snapshot so preparation reports
-	// errors up front; later snapshots recompile lazily through acquirePlans.
-	pe, err := pq.acquirePlans(e.Data())
-	if err != nil {
+	// errors up front; later snapshots recompile lazily through plansFor.
+	if _, err := pq.plansFor(e.Data()); err != nil {
 		return nil, err
 	}
-	pq.releasePlans(pe)
 	return pq, nil
 }
 
@@ -264,16 +219,15 @@ func (pq *PreparedQuery) Vars() []string { return pq.vars }
 func (pq *PreparedQuery) Ask() bool { return pq.q.Ask }
 
 // Exec runs the prepared query and materializes every row. It drains the
-// same streaming pipeline as Select, so its rows and their order are
+// row sequence All yields and Select pulls, so its rows and their order are
 // Select's for every worker count.
 func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, error) {
 	var rows [][]rdf.Term
-	err := pq.stream(ctx, pq.e.Data(), nil, func(row []rdf.Term) bool {
+	for row, err := range pq.All(ctx) {
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, row)
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &Result{Vars: pq.vars, Rows: rows}, nil
 }
@@ -284,11 +238,10 @@ func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, error) {
 func (pq *PreparedQuery) Count(ctx context.Context) (int, error) {
 	q := pq.q
 	d := pq.e.Data()
-	pe, err := pq.acquirePlans(d)
+	pe, err := pq.plansFor(d)
 	if err != nil {
 		return 0, err
 	}
-	defer pq.releasePlans(pe)
 	if !q.Distinct && q.Limit < 0 && q.Offset == 0 {
 		total := 0
 		fast := true
@@ -308,7 +261,7 @@ func (pq *PreparedQuery) Count(ctx context.Context) (int, error) {
 		}
 	}
 	n := 0
-	err = pq.streamWith(ctx, pe, nil, func([]rdf.Term) bool {
+	err = pq.stream(ctx, pe, nil, func([]rdf.Term) bool {
 		n++
 		return true
 	})

@@ -40,11 +40,10 @@ type Explain struct {
 // counters. It pays for a full (uncapped) execution of every component.
 func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	d := pq.e.Data()
-	pe, err := pq.acquirePlans(d)
+	pe, err := pq.plansFor(d)
 	if err != nil {
 		return nil, err
 	}
-	defer pq.releasePlans(pe)
 	ex := &Explain{}
 	for _, p := range pe.plans {
 		ge := GroupExplain{Empty: p.empty}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -20,11 +19,19 @@ func planCacheTriples() []rdf.Triple {
 	return ts
 }
 
+// latestEpoch reports the snapshot epoch of the prepared query's cached
+// compilation.
+func latestEpoch(pq *PreparedQuery) uint64 {
+	pq.mu.Lock()
+	defer pq.mu.Unlock()
+	return pq.latest.data.Epoch
+}
+
 // TestPlanCacheDropsSupersededEpochs pins the prepared-plan cache's bound:
-// it holds the current epoch's compilation plus exactly the superseded
-// epochs still pinned by open cursors — an old epoch's plans are dropped the
-// moment its last cursor closes, and a burst of updates with no cursors
-// leaves a single entry.
+// it holds only the newest compilation, while an open cursor keeps
+// enumerating the snapshot its own plans were compiled against — a
+// superseded compilation lives exactly as long as the cursors holding it,
+// and a burst of updates leaves a single cached entry.
 func TestPlanCacheDropsSupersededEpochs(t *testing.T) {
 	mut := transform.NewMutable(planCacheTriples(), transform.TypeAware)
 	e := New(mut.Current(), core.Optimized())
@@ -32,12 +39,13 @@ func TestPlanCacheDropsSupersededEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0 := e.Data().Epoch
-	if got := pq.cachedPlanEpochs(); !reflect.DeepEqual(got, []uint64{e0}) {
-		t.Fatalf("after prepare: cached epochs %v, want [%d]", got, e0)
+	d0 := e.Data()
+	e0 := d0.Epoch
+	if got := latestEpoch(pq); got != e0 {
+		t.Fatalf("after prepare: cached epoch %d, want %d", got, e0)
 	}
 
-	// A cursor opened at the current snapshot pins that epoch's plans.
+	// A cursor opened at the current snapshot holds that epoch's plans.
 	rows := pq.Select(t.Context())
 
 	iri := func(s string) rdf.Term { return rdf.NewIRI("http://u/" + s) }
@@ -48,13 +56,13 @@ func TestPlanCacheDropsSupersededEpochs(t *testing.T) {
 	e.SetData(d)
 	e1 := d.Epoch
 
-	// Executing at the new snapshot compiles its plans; the pinned old epoch
-	// must survive alongside.
+	// Executing at the new snapshot compiles its plans and caches them in
+	// place of the old epoch's.
 	if _, err := pq.Exec(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if got := pq.cachedPlanEpochs(); !reflect.DeepEqual(got, []uint64{e0, e1}) {
-		t.Fatalf("with open cursor: cached epochs %v, want [%d %d]", got, e0, e1)
+	if got := latestEpoch(pq); got != e1 {
+		t.Fatalf("with open cursor: cached epoch %d, want %d", got, e1)
 	}
 
 	// The cursor still enumerates its pinned snapshot (16 rows, not 17).
@@ -69,11 +77,6 @@ func TestPlanCacheDropsSupersededEpochs(t *testing.T) {
 		t.Fatalf("pinned cursor saw %d rows, want 16", got)
 	}
 
-	// Closing the last cursor over the superseded epoch drops its plans.
-	if got := pq.cachedPlanEpochs(); !reflect.DeepEqual(got, []uint64{e1}) {
-		t.Fatalf("after close: cached epochs %v, want [%d]", got, e1)
-	}
-
 	// A burst of cursor-less updates leaves only the newest compilation.
 	for i := 0; i < 3; i++ {
 		d, _ := mut.Apply([]rdf.Triple{{S: iri("z"), P: iri("p"), O: iri(string(rune('b' + i)))}}, nil)
@@ -82,8 +85,16 @@ func TestPlanCacheDropsSupersededEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := pq.cachedPlanEpochs(); !reflect.DeepEqual(got, []uint64{e.Data().Epoch}) {
-		t.Fatalf("after burst: cached epochs %v, want [%d]", got, e.Data().Epoch)
+	if got, want := latestEpoch(pq), e.Data().Epoch; got != want {
+		t.Fatalf("after burst: cached epoch %d, want %d", got, want)
+	}
+
+	// A compilation for an older snapshot never replaces a newer one.
+	if _, err := pq.plansFor(d0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := latestEpoch(pq), e.Data().Epoch; got != want {
+		t.Fatalf("after stale compile: cached epoch %d, want %d", got, want)
 	}
 }
 

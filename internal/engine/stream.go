@@ -14,32 +14,22 @@ import (
 // execution; the matcher abandons its remaining candidate regions.
 type RowVisitor func(row []rdf.Term) bool
 
-// stream runs the prepared query, pushing projected rows — after DISTINCT
-// deduplication, OFFSET skipping, and LIMIT truncation — to emit in pipeline
-// order. It is the one execution path behind Exec, Count's slow path, All
-// and Select: every group runs through streamGroup, so each row flows from
-// the matcher's visitor callback to emit without accumulating a result set
-// (DISTINCT keeps a seen-set but still emits incrementally), and stopping
-// emit abandons the remaining search. ORDER BY does not buffer everything
-// and then sort: `ORDER BY … LIMIT k` feeds a bounded top-k heap from the
-// stream (O(k) result memory), and unbounded ORDER BY sorts bounded runs as
-// rows arrive and merges them on emission; both must still see the full
-// stream before the first row leaves, as the last solution could sort
-// first. prof, when non-nil, accumulates the counters of each
+// stream runs the prepared query against the compiled plans pe, pushing
+// projected rows — after DISTINCT deduplication, OFFSET skipping, and LIMIT
+// truncation — to emit in pipeline order. It is the one execution path
+// behind Exec, Count's slow path, All and Select (the latter three through
+// the row sequence rows): every group runs through streamGroup, so each row
+// flows from the matcher's visitor callback to emit without accumulating a
+// result set (DISTINCT keeps a seen-set but still emits incrementally), and
+// stopping emit abandons the remaining search. ORDER BY does not buffer
+// everything and then sort: `ORDER BY … LIMIT k` feeds a bounded top-k heap
+// from the stream (O(k) result memory), and unbounded ORDER BY sorts
+// bounded runs as rows arrive and merges them on emission; both must still
+// see the full stream before the first row leaves, as the last solution
+// could sort first. prof, when non-nil, accumulates the counters of each
 // group's streamed matcher run (merged from the pipeline's workers when
 // Workers > 1).
-func (pq *PreparedQuery) stream(ctx context.Context, d *transform.Data, prof *core.ProfileResult, emit RowVisitor) error {
-	pe, err := pq.acquirePlans(d)
-	if err != nil {
-		return err
-	}
-	defer pq.releasePlans(pe)
-	return pq.streamWith(ctx, pe, prof, emit)
-}
-
-// streamWith is stream against an already-acquired plan entry; the caller
-// owns the pin.
-func (pq *PreparedQuery) streamWith(ctx context.Context, pe *planEntry, prof *core.ProfileResult, emit RowVisitor) error {
+func (pq *PreparedQuery) stream(ctx context.Context, pe *planEntry, prof *core.ProfileResult, emit RowVisitor) error {
 	plans := pe.plans
 	pj := &projector{pq: pq, emit: emit, offset: pq.q.Offset, limit: pq.q.Limit}
 	if pq.q.Distinct {

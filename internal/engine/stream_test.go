@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -296,6 +297,62 @@ func TestSelectContextCancellation(t *testing.T) {
 	// Count with a cancelled context propagates too (fast path included).
 	if _, err := pq.Count(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Count err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCursorLifetime pins the cursor's teardown and end-of-stream contracts
+// at Workers 1 and 4: Close releases every goroutine the execution started,
+// whether the cursor was never advanced, advanced once or advanced k rows;
+// and a cursor drained to the end before its context is cancelled has
+// succeeded — a further Next reports no error.
+func TestCursorLifetime(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			eng := wideEngine(300)
+			eng.opts.Workers = workers
+			pq, err := eng.Prepare(wideQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			base := runtime.NumGoroutine()
+			for _, k := range []int{0, 1, 7} {
+				rows := pq.Select(context.Background())
+				for i := 0; i < k; i++ {
+					if !rows.Next() {
+						t.Fatalf("k=%d: row %d missing: %v", k, i, rows.Err())
+					}
+				}
+				if err := rows.Close(); err != nil {
+					t.Fatalf("k=%d: close: %v", k, err)
+				}
+				n := runtime.NumGoroutine()
+				for try := 0; try < 1000 && n > base; try++ {
+					runtime.Gosched()
+					n = runtime.NumGoroutine()
+				}
+				if n > base {
+					t.Fatalf("k=%d: %d goroutines after Close, baseline %d", k, n, base)
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rows := pq.Select(ctx)
+			defer rows.Close()
+			for i := 0; i < 1200; i++ {
+				if !rows.Next() {
+					t.Fatalf("row %d missing: %v", i, rows.Err())
+				}
+			}
+			cancel()
+			if rows.Next() {
+				t.Fatal("Next after the last row returned true")
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatalf("completed stream ended with %v after cancel, want nil", err)
+			}
+		})
 	}
 }
 

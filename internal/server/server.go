@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"iter"
 	"mime"
 	"net"
 	"net/http"
@@ -376,7 +377,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, query strin
 		}
 		if e != nil {
 			s.m.CacheHits.Add(1)
-			s.replayCached(w, ctx, ct, e)
+			w.Header().Set(HeaderCache, "hit")
+			s.writeDocument(w, ct, e.Vars, func(yield func([]turbohom.Term, error) bool) {
+				for _, row := range e.Rows {
+					if err := ctx.Err(); err != nil {
+						yield(nil, err)
+						return
+					}
+					if !yield(row, nil) {
+						return
+					}
+				}
+			})
 			return
 		}
 		disposition = "miss"
@@ -434,113 +446,75 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, query strin
 		colBytes  int64
 	)
 	maxBytes, maxRows := s.results.Limits()
-
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set("Trailer", TrailerTruncated+", "+TrailerError)
-	flusher, _ := w.(http.Flusher)
-	wr := newResultWriter(ct, w)
-	if err := wr.writeHead(p.Vars()); err != nil {
-		s.m.QueriesCancelled.Add(1)
-		return
-	}
-
-	n := 0
-	truncated := false
-	cancelled := false
-	for next := first; next; next = rows.Next() {
-		if ctx.Err() != nil {
-			// The request context died (disconnect, timeout) and the
-			// checkpoint saw it before the cursor or a Write did.
-			cancelled = true
-			break
-		}
-		if err := wr.writeRow(rows.Row()); err != nil {
-			// The client went away mid-stream; the deferred Close aborts
-			// the remaining search.
-			s.m.RowsStreamed.Add(int64(n))
-			s.m.QueriesCancelled.Add(1)
-			return
-		}
-		if collecting {
+	live := func(yield func([]turbohom.Term, error) bool) {
+		for next := first; next; next = rows.Next() {
+			if err := ctx.Err(); err != nil {
+				// The request context died (disconnect, timeout) and the
+				// checkpoint saw it before the cursor or a Write did.
+				yield(nil, err)
+				return
+			}
 			row := rows.Row()
-			colBytes += cache.RowBytes(row)
-			if colBytes > maxBytes || len(collected) >= maxRows {
-				collecting, collected = false, nil
-			} else {
-				collected = append(collected, row)
+			if collecting {
+				colBytes += cache.RowBytes(row)
+				if colBytes > maxBytes || len(collected) >= maxRows {
+					collecting, collected = false, nil
+				} else {
+					collected = append(collected, row)
+				}
+			}
+			if !yield(row, nil) {
+				return
 			}
 		}
-		n++
-		if flusher != nil && (n == 1 || n%flushEvery == 0) {
-			flusher.Flush()
-		}
-		if s.opts.MaxRows > 0 && n >= s.opts.MaxRows {
-			truncated = true
-			break
+		if err := rows.Err(); err != nil {
+			yield(nil, err)
 		}
 	}
-	s.m.RowsStreamed.Add(int64(n))
-
-	// The document is always closed well-formed; what ended it travels in
-	// the trailers.
-	switch err := rows.Err(); {
-	case err != nil:
-		s.m.QueriesCancelled.Add(1)
-		w.Header().Set(TrailerError, err.Error())
-	case cancelled:
-		s.m.QueriesCancelled.Add(1)
-		w.Header().Set(TrailerError, ctx.Err().Error())
-	case truncated:
-		s.m.QueriesOK.Add(1)
-		s.m.Truncated.Add(1)
-		w.Header().Set(TrailerTruncated, strconv.Itoa(n))
-	default:
-		s.m.QueriesOK.Add(1)
-		if collecting {
-			// Clean and complete: the collected rows are exactly the result
-			// set at the cursor's pinned snapshot.
-			e := cache.NewEntry(p.Vars(), collected, rows.Footprint(), rows.Epoch())
-			if leader {
-				admit = e
-			} else {
-				s.results.Put(key, e)
-			}
+	if s.writeDocument(w, ct, p.Vars(), live) && collecting {
+		// Clean and complete: the collected rows are exactly the result set
+		// at the cursor's pinned snapshot.
+		e := cache.NewEntry(p.Vars(), collected, rows.Footprint(), rows.Epoch())
+		if leader {
+			admit = e
+		} else {
+			s.results.Put(key, e)
 		}
-	}
-	if err := wr.finish(); err != nil {
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
 	}
 }
 
-// replayCached streams a cached entry through the same writer machinery as a
-// live run: identical bytes, flush cadence, MaxRows cap, and trailer
-// semantics — the only observable difference is the X-Turbohom-Cache header
-// (and the latency).
-func (s *Server) replayCached(w http.ResponseWriter, ctx context.Context, ct string, e *cache.Entry) {
+// writeDocument streams one SELECT result document: the head, then every
+// row of src, flushed on the first row and every flushEvery rows after,
+// cut at ServerOptions.MaxRows, and closed well-formed with what ended it
+// in the trailers. src checks the request context before each row and
+// yields a terminating failure or cancellation as its final pair with a
+// nil row. A live run and a cache replay both stream through here, so
+// their bytes, flush cadence and trailers are identical. It reports
+// whether every row of src was written: no failure, cancellation,
+// truncation or row write error.
+func (s *Server) writeDocument(w http.ResponseWriter, ct string, vars []string, src iter.Seq2[[]turbohom.Term, error]) bool {
 	w.Header().Set("Content-Type", ct)
-	w.Header().Set(HeaderCache, "hit")
 	w.Header().Set("Trailer", TrailerTruncated+", "+TrailerError)
 	flusher, _ := w.(http.Flusher)
 	wr := newResultWriter(ct, w)
-	if err := wr.writeHead(e.Vars); err != nil {
+	if err := wr.writeHead(vars); err != nil {
 		s.m.QueriesCancelled.Add(1)
-		return
+		return false
 	}
+
 	n := 0
 	truncated := false
-	cancelled := false
-	for _, row := range e.Rows {
-		if ctx.Err() != nil {
-			cancelled = true
+	var srcErr error
+	for row, err := range src {
+		if srcErr = err; err != nil {
 			break
 		}
 		if err := wr.writeRow(row); err != nil {
+			// The client went away mid-stream; the caller's deferred Close
+			// aborts the remaining search.
 			s.m.RowsStreamed.Add(int64(n))
 			s.m.QueriesCancelled.Add(1)
-			return
+			return false
 		}
 		n++
 		if flusher != nil && (n == 1 || n%flushEvery == 0) {
@@ -552,10 +526,11 @@ func (s *Server) replayCached(w http.ResponseWriter, ctx context.Context, ct str
 		}
 	}
 	s.m.RowsStreamed.Add(int64(n))
+
 	switch {
-	case cancelled:
+	case srcErr != nil:
 		s.m.QueriesCancelled.Add(1)
-		w.Header().Set(TrailerError, ctx.Err().Error())
+		w.Header().Set(TrailerError, srcErr.Error())
 	case truncated:
 		s.m.QueriesOK.Add(1)
 		s.m.Truncated.Add(1)
@@ -563,12 +538,10 @@ func (s *Server) replayCached(w http.ResponseWriter, ctx context.Context, ct str
 	default:
 		s.m.QueriesOK.Add(1)
 	}
-	if err := wr.finish(); err != nil {
-		return
-	}
-	if flusher != nil {
+	if wr.finish() == nil && flusher != nil {
 		flusher.Flush()
 	}
+	return srcErr == nil && !truncated
 }
 
 // queryError maps a query failure with zero bytes written to an HTTP

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -278,21 +279,35 @@ func TestUpdateAndReadOnly(t *testing.T) {
 
 func TestRowTruncationTrailer(t *testing.T) {
 	_, ts, _ := newTestServer(t, turbohom.ServerOptions{MaxRows: 2})
-	resp := get(t, ts.URL+"/sparql?query="+url.QueryEscape(testQuery), "")
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body) // to EOF, so trailers arrive
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := loadtest.Decode("application/sparql-results+json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Rows) != 2 {
-		t.Fatalf("body carries %d rows, want 2", len(doc.Rows))
-	}
-	if got := resp.Trailer.Get(server.TrailerTruncated); got != "2" {
-		t.Fatalf("trailer %s = %q, want \"2\"", server.TrailerTruncated, got)
+	// A truncated result set is never admitted to the result cache, so the
+	// repeat runs live again — a cache replay never needs to truncate — and
+	// returns the same two rows under the same trailer.
+	var first *loadtest.Document
+	for i := 0; i < 2; i++ {
+		resp := get(t, ts.URL+"/sparql?query="+url.QueryEscape(testQuery), "")
+		body, err := io.ReadAll(resp.Body) // to EOF, so trailers arrive
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := loadtest.Decode("application/sparql-results+json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Rows) != 2 {
+			t.Fatalf("request %d: body carries %d rows, want 2", i, len(doc.Rows))
+		}
+		if got := resp.Trailer.Get(server.TrailerTruncated); got != "2" {
+			t.Fatalf("request %d: trailer %s = %q, want \"2\"", i, server.TrailerTruncated, got)
+		}
+		if got := resp.Header.Get(server.HeaderCache); got != "miss" {
+			t.Fatalf("request %d: %s = %q, want \"miss\"", i, server.HeaderCache, got)
+		}
+		if first == nil {
+			first = doc
+		} else if !reflect.DeepEqual(doc.Rows, first.Rows) {
+			t.Fatalf("repeated truncated request rows %v, want %v", doc.Rows, first.Rows)
+		}
 	}
 
 	// An untruncated response must not carry the trailer.

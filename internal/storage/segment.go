@@ -1,8 +1,8 @@
 // Package storage implements the persistence layer beneath the transform
-// and engine: the Segment abstraction over a frozen store snapshot (CSR
-// graph, dictionaries, Lsimple index, net triple set) with an in-memory and
-// a file-backed implementation, and the write-ahead log that makes
-// mutations durable between snapshots (wal.go).
+// and engine: the snapshot file codec and FileSegment handle for a frozen
+// store snapshot (CSR graph, dictionaries, Lsimple index, net triple set),
+// and the write-ahead log that makes mutations durable between snapshots
+// (wal.go).
 //
 // The snapshot file is a versioned, checksummed container:
 //
@@ -89,36 +89,13 @@ type SegmentData struct {
 	Validated bool
 }
 
-// Segment is a handle to one frozen snapshot. Like the engine's Data(),
-// Snapshot is pinned once per execution: callers take the *SegmentData a
-// single time and thread it through, rather than re-reading mid-flight
-// (the snapshotpin analyzer enforces this).
-type Segment interface {
-	// Snapshot returns the frozen snapshot. Implementations must return
-	// the same immutable value on every call.
-	Snapshot() (*SegmentData, error)
-	// Close releases any resources backing the segment.
-	Close() error
-}
-
-// MemSegment is the zero-cost in-memory Segment: a wrapper around an
-// already-materialized snapshot. This is the default backend — exactly the
-// pre-persistence behavior.
-type MemSegment struct{ data *SegmentData }
-
-// NewMemSegment wraps sd as a Segment.
-func NewMemSegment(sd *SegmentData) *MemSegment { return &MemSegment{data: sd} }
-
-// Snapshot returns the wrapped snapshot.
-func (s *MemSegment) Snapshot() (*SegmentData, error) { return s.data, nil }
-
-// Close is a no-op.
-func (s *MemSegment) Close() error { return nil }
-
-// FileSegment is the file-backed Segment: the snapshot is decoded from the
-// container file once at open and served from memory afterwards. Opening
-// validates the checksum and every structural invariant, so a FileSegment
-// that opened successfully cannot panic later.
+// FileSegment is a handle to one frozen snapshot file: the snapshot is
+// decoded from the container file once at open and served from memory
+// afterwards. Opening validates the checksum and every structural
+// invariant, so a FileSegment that opened successfully cannot panic later.
+// Like the engine's Data(), Snapshot is pinned once per execution: callers
+// take the *SegmentData a single time and thread it through, rather than
+// re-reading mid-flight (the snapshotpin analyzer enforces this).
 type FileSegment struct {
 	path string
 	data *SegmentData

@@ -302,9 +302,11 @@ func (p *Prepared) CacheKey() string { return p.pq.CacheKey() }
 func (p *Prepared) Ask() bool { return p.pq.Ask() }
 
 // Select starts executing the prepared query and returns a streaming
-// cursor. Rows flow from the matcher as the consumer pulls them; closing
-// the cursor (or cancelling ctx) after k rows abandons the remaining search
-// instead of completing it. On a store with Workers > 1 (the default)
+// cursor: a pull over the same row sequence All yields, so both return the
+// same rows in the same order. Rows flow from the matcher as the consumer
+// pulls them; closing the cursor (or cancelling ctx) after k rows abandons
+// the remaining search instead of completing it. On a store with
+// Workers > 1 (the default)
 // matching runs on the ordered parallel region pipeline: workers search
 // candidate regions through resumable cursors, buffering no more than
 // Options.StreamBuffer rows ahead of the consumer (so even a single region
@@ -334,9 +336,9 @@ func (p *Prepared) SelectProfiled(ctx context.Context, prof *ProfileResult) *Row
 // All executes the prepared query and returns a range-over-func iterator of
 // its rows: a non-nil error (context cancellation or execution failure) is
 // yielded as the final pair with a nil row. Breaking out of the loop
-// terminates the search early. The pipeline runs synchronously in the
-// consumer's goroutine — no cursor goroutine, no channel handoff — so this
-// is the cheapest way to drain a query.
+// terminates the search early. It is the row sequence Select's cursor
+// pulls, pushed instead: the matcher calls the loop body directly in the
+// consumer's goroutine, with no cursor state in between.
 //
 //	for row, err := range p.All(ctx) {
 //	    if err != nil { ... }
@@ -418,8 +420,9 @@ func (r *Rows) Scan(dest ...*Term) error { return r.r.Scan(dest...) }
 
 // Err returns the error that terminated iteration: a context cancellation
 // or deadline, or an execution failure. It returns nil while rows are still
-// pending, after a clean exhaustion, and after a Close that cut short a
-// healthy iteration; an execution failure persists through Close.
+// pending, after a clean exhaustion (even one that completed just before the
+// context expired), and after a Close that cut short a healthy iteration; an
+// execution failure persists through Close.
 func (r *Rows) Err() error { return r.r.Err() }
 
 // Close stops execution early — the matcher abandons its remaining
