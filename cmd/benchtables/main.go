@@ -5,9 +5,10 @@
 //	benchtables -table 3 -lubm 1,2,4          # Table 3 at three LUBM scales
 //	benchtables -fig 15 -lubm 4               # optimization ablation
 //
-// Output is aligned text, one block per table/figure, in the layout of the
-// paper's tables (engines as rows, queries as columns, times in
-// milliseconds averaged with the 5-run drop-best/worst protocol).
+// Output is aligned text, one block per table/figure — per -lubm scale for
+// the LUBM ones but Table 2 — in the layout of the paper's tables (engines
+// as rows, queries as columns, times in milliseconds averaged with the
+// 5-run drop-best/worst protocol).
 package main
 
 import (
@@ -38,76 +39,65 @@ func main() {
 		os.Exit(1)
 	}
 	s := bench.Scales{LUBM: scales, BSBM: *bsbm, YAGO: *yago, BTC: *btc}
-	top := scales[len(scales)-1]
-
-	emit := func(t *bench.Table) {
-		if _, err := t.WriteTo(os.Stdout); err != nil {
+	want := func(kind, id string) bool {
+		switch {
+		case *all:
+			return true
+		case kind == "table":
+			return *table == id
+		}
+		return *fig == id
+	}
+	selected := blocks(s, want)
+	if len(selected) == 0 {
+		fmt.Fprintln(os.Stderr, "benchtables: nothing selected; use -all, -table N, or -fig N")
+		os.Exit(1)
+	}
+	for _, b := range selected {
+		if _, err := b.build().WriteTo(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtables:", err)
 			os.Exit(1)
 		}
 	}
+}
 
-	ran := false
-	want := func(kind, id string) bool {
-		if *all {
-			return true
-		}
-		switch kind {
-		case "table":
-			return *table == id
-		case "fig":
-			return *fig == id
-		}
-		return false
-	}
+// block is one output block: a table or figure, at one LUBM scale for the
+// LUBM ones (scale 0 for the rest), built when it is written.
+type block struct {
+	name  string
+	scale int
+	build func() *bench.Table
+}
 
-	if want("table", "1") {
-		emit(bench.Table1(s))
-		ran = true
+// blocks lists the selected blocks in output order. Every LUBM table and
+// figure but Table 2, which has a column per scale, gets one block per
+// scale in s.LUBM.
+func blocks(s bench.Scales, want func(kind, id string) bool) []block {
+	var out []block
+	one := func(kind, id string, build func() *bench.Table) {
+		if want(kind, id) {
+			out = append(out, block{kind + " " + id, 0, build})
+		}
 	}
-	if want("table", "2") {
-		emit(bench.Table2(s.LUBM))
-		ran = true
-	}
-	if want("table", "3") {
+	perScale := func(kind, id string, build func(scale int) *bench.Table) {
+		if !want(kind, id) {
+			return
+		}
 		for _, sc := range s.LUBM {
-			emit(bench.Table3(sc))
+			out = append(out, block{kind + " " + id, sc, func() *bench.Table { return build(sc) }})
 		}
-		ran = true
 	}
-	if want("table", "4") {
-		emit(bench.Table4(s.YAGO))
-		ran = true
-	}
-	if want("table", "5") {
-		emit(bench.Table5(s.BTC))
-		ran = true
-	}
-	if want("table", "6") {
-		emit(bench.Table6(s.BSBM))
-		ran = true
-	}
-	if want("table", "7") {
-		emit(bench.Table7(top))
-		ran = true
-	}
-	if want("fig", "6") {
-		emit(bench.Fig6(top))
-		ran = true
-	}
-	if want("fig", "15") {
-		emit(bench.Fig15(top))
-		ran = true
-	}
-	if want("fig", "16") {
-		emit(bench.Fig16(top, nil))
-		ran = true
-	}
-
-	if !ran {
-		fmt.Fprintln(os.Stderr, "benchtables: nothing selected; use -all, -table N, or -fig N")
-		os.Exit(1)
-	}
+	one("table", "1", func() *bench.Table { return bench.Table1(s) })
+	one("table", "2", func() *bench.Table { return bench.Table2(s.LUBM) })
+	perScale("table", "3", bench.Table3)
+	one("table", "4", func() *bench.Table { return bench.Table4(s.YAGO) })
+	one("table", "5", func() *bench.Table { return bench.Table5(s.BTC) })
+	one("table", "6", func() *bench.Table { return bench.Table6(s.BSBM) })
+	perScale("table", "7", bench.Table7)
+	perScale("fig", "6", bench.Fig6)
+	perScale("fig", "15", bench.Fig15)
+	perScale("fig", "16", func(sc int) *bench.Table { return bench.Fig16(sc, nil) })
+	return out
 }
 
 func parseScales(s string) ([]int, error) {

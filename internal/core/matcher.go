@@ -31,73 +31,74 @@ type Visitor func(Match) bool
 
 // Stream enumerates all matches of q in g, invoking visit for each in the
 // deterministic sequential region order. It returns the number of solutions
-// visited. With opts.Workers <= 1 it drives one Cursor to exhaustion on the
-// calling goroutine. With opts.Workers > 1 the candidate regions are
-// searched by the ordered parallel region pipeline through resumable
-// cursors, whose reorder stage delivers rows in exactly the order a
-// sequential run would produce (opts.StreamBuffer bounds the
+// visited. A run whose start vertex has fewer than two candidates (or whose
+// query is point-shaped), or one with opts.Workers <= 1, drives one Cursor to
+// exhaustion on the calling goroutine and lends each row to visit. Otherwise
+// the candidate regions are searched by the ordered parallel region pipeline
+// through resumable cursors, whose reorder stage delivers rows in exactly the
+// order a sequential run would produce (opts.StreamBuffer bounds the
 // not-yet-delivered rows in flight — per-row backpressure that suspends
 // workers mid-region); the visitor always runs on the calling goroutine.
 // Cancelling ctx abandons the candidate regions not yet emitted and returns
-// ctx.Err(); a visitor returning false stops cleanly with a nil error, and in
-// the parallel case abandons the work beyond the row window just like
+// ctx.Err(); a visitor returning false stops cleanly with a nil error, and on
+// the pipeline abandons the work beyond the row window just like
 // MaxSolutions does.
 func Stream(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts, visit Visitor) (int, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	m := newMatcher(ctx, g, q, sem, opts)
-	if opts.Workers > 1 {
-		return m.runPipeline(visit)
-	}
-	n, _, err := m.cursor(visit).Resume(0)
-	return n, err
+	return newMatcher(ctx, g, q, sem, opts).execute(visit, false)
 }
 
 // Collect enumerates all matches and returns them as deep copies, always in
-// the sequential enumeration order: one Cursor with opts.Workers <= 1, the
-// ordered pipeline that backs Stream otherwise, so a parallel Collect —
-// including one capped by MaxSolutions — returns exactly the rows and order
-// of a sequential one. Cancelling ctx abandons the remaining work and
-// returns ctx.Err() along with the rows emitted before the cancellation took
-// effect.
+// the sequential enumeration order: it runs where Stream would — one Cursor,
+// or the ordered pipeline for two or more candidate regions at Workers > 1 —
+// so a parallel Collect, including one capped by MaxSolutions, returns
+// exactly the rows and order of a sequential one. Cancelling ctx abandons the
+// remaining work and returns ctx.Err() along with the rows emitted before the
+// cancellation took effect.
 func Collect(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts) ([]Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	m := newMatcher(ctx, g, q, sem, opts)
 	var out []Match
-	if opts.Workers > 1 {
-		// Pipeline rows are already deep copies owned by the emitter.
-		_, err := m.runPipeline(func(mt Match) bool {
-			out = append(out, mt)
-			return true
-		})
-		return out, err
-	}
-	_, _, err := m.cursor(func(mt Match) bool {
-		out = append(out, mt.Clone())
+	_, err := newMatcher(ctx, g, q, sem, opts).execute(func(mt Match) bool {
+		out = append(out, mt)
 		return true
-	}).Resume(0)
+	}, true)
 	return out, err
 }
 
-// Count returns the number of matches without materializing them: one
-// Cursor with opts.Workers <= 1; otherwise the parallel pipeline, with
-// per-batch totals summed in region order, so a MaxSolutions cap clamps
-// identically to a sequential count. Counting runs with no visitor, which
-// lets the NEC reduction total equivalence-class expansions
-// combinatorially instead of enumerating them. Cancelling ctx abandons the
-// remaining work and returns ctx.Err().
+// Count returns the number of matches without materializing them. It runs
+// where Stream would; on the pipeline, per-batch totals are summed in region
+// order, so a MaxSolutions cap clamps identically to a sequential count.
+// Counting runs with no visitor, which lets the NEC reduction total
+// equivalence-class expansions combinatorially instead of enumerating them.
+// Cancelling ctx abandons the remaining work and returns ctx.Err().
 func Count(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts) (int, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	m := newMatcher(ctx, g, q, sem, opts)
-	if opts.Workers > 1 {
-		return m.runPipeline(nil)
+	return newMatcher(ctx, g, q, sem, opts).execute(nil, false)
+}
+
+// execute is the one place a run chooses between sequential and parallel
+// search, from the start vertex's candidate list. Fewer than two candidates,
+// or a point-shaped query, leave no regions to distribute (paper §5.2), so
+// one Cursor runs them on the calling goroutine whatever opts.Workers says;
+// two or more with Workers > 1 start the ordered pipeline. The Cursor lends
+// its rows; owned asks for rows visit may keep, which the sequential branch
+// clones and the pipeline's workers have already copied.
+func (m *matcher) execute(visit Visitor, owned bool) (int, error) {
+	start, cands := m.startCandidates()
+	if len(cands) >= 2 && m.opts.Workers > 1 && !m.pointShaped() {
+		return m.runPipeline(start, cands, visit)
 	}
-	n, _, err := m.cursor(nil).Resume(0)
+	if owned {
+		keep := visit
+		visit = func(mt Match) bool { return keep(mt.Clone()) }
+	}
+	n, _, err := m.cursorFrom(start, cands, visit).Resume(0)
 	return n, err
 }
 

@@ -52,15 +52,18 @@ type Opts struct {
 	NoNEC bool
 	// Workers sets the number of goroutines processing starting vertices
 	// (paper §5.2). Values < 2 mean sequential execution. Stream, Collect
-	// and Count all honor it through the ordered region pipeline: workers
-	// claim candidate-region batches from a shared counter and stream each
-	// batch's rows through its own channel, and the calling goroutine
-	// replays the batches in sequential region order, so row order, early
-	// termination (a visitor returning false, MaxSolutions) and
-	// cancellation behave exactly as in a sequential run. No more workers
-	// start than a run has batches.
+	// and Count honor it through the ordered region pipeline when the start
+	// vertex has two or more candidates: workers claim candidate-region
+	// batches from a shared counter and stream each batch's rows through
+	// its own channel, and the calling goroutine replays the batches in
+	// sequential region order, so row order, early termination (a visitor
+	// returning false, MaxSolutions) and cancellation behave exactly as in
+	// a sequential run. No more workers start than a run has batches. A run
+	// with one start candidate, or a point-shaped query, has no regions to
+	// distribute and runs sequentially at any Workers.
 	Workers int
-	// StreamBuffer bounds the parallel pipeline's buffering in ROWS: the
+	// StreamBuffer bounds the parallel pipeline's buffering in ROWS, and
+	// applies only to runs that start the pipeline: the
 	// number of not-yet-delivered solutions workers may hold ahead of the
 	// emitting goroutine before they block with their region search
 	// suspended (per-row backpressure). The bound is independent of region

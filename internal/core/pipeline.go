@@ -77,27 +77,13 @@ func pipelineQuota(streamBuffer, window, workers int) int {
 	return q
 }
 
-// runPipeline executes the match with opts.Workers parallel workers while
-// delivering solutions to visit in exactly the sequential enumeration order.
-// With a nil visitor it is a parallel count: per-segment totals are summed
-// in region order, so MaxSolutions clamps as deterministically as it does
-// sequentially.
-func (m *matcher) runPipeline(visit Visitor) (int, error) {
-	start, cands := m.startCandidates()
-	if len(cands) == 0 || m.pointShaped() {
-		// Nothing to search, or a point-shaped query: no per-region work to
-		// distribute, and the sequential cursor is optimal and already
-		// ordered — run it on the candidates in hand. The pipeline's visitor
-		// contract hands out owned rows (worker-side deep copies), so the
-		// delegation must clone what the cursor lends it: Collect appends
-		// pipeline rows without copying.
-		v := visit
-		if visit != nil {
-			v = func(mt Match) bool { return visit(mt.Clone()) }
-		}
-		n, _, err := m.cursorFrom(start, cands, v).Resume(0)
-		return n, err
-	}
+// runPipeline searches the candidate regions cands of start with
+// opts.Workers parallel workers while delivering solutions to visit in
+// exactly the sequential enumeration order. The rows visit receives are
+// owned deep copies. With a nil visitor it is a parallel count: per-segment
+// totals are summed in region order, so MaxSolutions clamps as
+// deterministically as it does sequentially.
+func (m *matcher) runPipeline(start int, cands []uint32, visit Visitor) (int, error) {
 	m.buildQueryTree(start)
 	m.profileHeader(start, len(cands))
 	defer m.foldSigCounters()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -87,10 +89,39 @@ func goldenInstances() []instance {
 	}
 }
 
+// singleRegionInstance builds one hub with a unique label, so the whole
+// match set lives in ONE candidate region: hub --7--> a (mids of them)
+// --8--> b (leaves per mid), queried by the chain r -> x -> y.
+func singleRegionInstance(mids, leaves int) (*graph.Graph, *QueryGraph) {
+	fHub, fMid, fLeaf := uint32(0), uint32(1), uint32(2)
+	b := graph.NewBuilder()
+	b.AddVertexLabel(0, fHub)
+	next := uint32(1)
+	for i := 0; i < mids; i++ {
+		mv := next
+		next++
+		b.AddVertexLabel(mv, fMid)
+		b.AddEdge(0, 7, mv)
+		for j := 0; j < leaves; j++ {
+			lv := next
+			next++
+			b.AddVertexLabel(lv, fLeaf)
+			b.AddEdge(mv, 8, lv)
+		}
+	}
+	q := NewQueryGraph()
+	r := q.AddVertex([]uint32{fHub}, NoID)
+	x := q.AddVertex([]uint32{fMid}, NoID)
+	y := q.AddVertex([]uint32{fLeaf}, NoID)
+	q.AddEdge(r, x, 7)
+	q.AddEdge(x, y, 8)
+	return b.Build(), q
+}
+
 // pipelineInstances is the shared differential corpus: the golden shapes
-// plus two skewed ones — all rows in ONE candidate region (one batch, so
-// one worker however many are configured), and heavy regions packed into
-// the last batch behind many trivial ones.
+// plus two skewed ones — all rows in ONE candidate region (one start
+// candidate, so it runs sequentially however many workers are configured),
+// and heavy regions packed into the last batch behind many trivial ones.
 func pipelineInstances() []instance {
 	rg, rq := singleRegionInstance(96, 40)
 	hg, hq := heavyTailInstance(120, 4, 20)
@@ -145,12 +176,12 @@ func TestPipelineOrderDifferential(t *testing.T) {
 
 // TestPipelineCollectCountDifferential checks the Collect and Count rewires:
 // parallel Collect returns the sequential rows in order (including under a
-// MaxSolutions cap — a deterministic prefix) and parallel Count the same
-// total.
+// MaxSolutions cap at the first row, inside a batch and inside a region — a
+// deterministic prefix) and parallel Count the same total.
 func TestPipelineCollectCountDifferential(t *testing.T) {
 	for _, inst := range pipelineInstances() {
 		for _, sem := range []Semantics{Homomorphism, Isomorphism} {
-			for _, limit := range []int{0, 7} {
+			for _, limit := range []int{0, 1, 7, 57} {
 				opts := Optimized()
 				opts.Workers = 1
 				opts.MaxSolutions = limit
@@ -162,7 +193,7 @@ func TestPipelineCollectCountDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{2, 8} {
+				for _, workers := range []int{2, 4, 8} {
 					opts.Workers = workers
 					got, err := Collect(context.Background(), inst.g, inst.q, sem, opts)
 					if err != nil {
@@ -187,6 +218,126 @@ func TestPipelineCollectCountDifferential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// dispatchRun is what Stream, Collect and Count of one configuration
+// return, with the profile of each.
+type dispatchRun struct {
+	streamed, collected []string
+	count               int
+	profs               [3]ProfileResult
+	// spawned is the most goroutines the Stream visitor saw beyond those
+	// running before the call: zero when no worker started.
+	spawned int
+}
+
+func runDispatch(t *testing.T, inst instance, sem Semantics, opts Opts) dispatchRun {
+	t.Helper()
+	ctx := context.Background()
+	var r dispatchRun
+	opts.Profile = &r.profs[0]
+	before := runtime.NumGoroutine()
+	n, err := Stream(ctx, inst.g, inst.q, sem, opts, func(mt Match) bool {
+		r.spawned = max(r.spawned, runtime.NumGoroutine()-before)
+		r.streamed = append(r.streamed, matchKey(mt))
+		return true
+	})
+	if err != nil || n != len(r.streamed) {
+		t.Fatalf("Stream(workers=%d) = %d, %v; visited %d", opts.Workers, n, err, len(r.streamed))
+	}
+	opts.Profile = &r.profs[1]
+	rows, err := Collect(ctx, inst.g, inst.q, sem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mt := range rows {
+		r.collected = append(r.collected, matchKey(mt))
+	}
+	opts.Profile = &r.profs[2]
+	if r.count, err = Count(ctx, inst.g, inst.q, sem, opts); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestOneCandidateRunsSequential pins the sequential-or-pipeline rule. A run
+// whose start vertex has one candidate runs one Cursor on the calling
+// goroutine at any Workers: Stream, Collect and Count give the rows, counts
+// and profiles of Workers = 1, capped or not, and no goroutine starts. A run
+// with two candidates still starts the pipeline's workers.
+func TestOneCandidateRunsSequential(t *testing.T) {
+	ctx := context.Background()
+	// One hub pinned by ID, its three leaves one NEC class: Count totals
+	// the class combinatorially.
+	pg, _ := starInstance(40, 5, 3)
+	pq := NewQueryGraph()
+	hub := pq.AddVertex([]uint32{0}, 6) // the second hub
+	for i := 0; i < 3; i++ {
+		pq.AddEdge(hub, pq.AddVertex([]uint32{1}, NoID), 7)
+	}
+	rg, rq := singleRegionInstance(96, 40)
+	for _, inst := range []instance{{"single-region", rg, rq}, {"pinned", pg, pq}} {
+		for _, sem := range []Semantics{Homomorphism, Isomorphism} {
+			seq := Optimized()
+			seq.Workers = 1
+			if _, cands := newMatcher(ctx, inst.g, inst.q, sem, seq).startCandidates(); len(cands) != 1 {
+				t.Fatalf("%s/%v: %d start candidates, want 1", inst.name, sem, len(cands))
+			}
+			all := runDispatch(t, inst, sem, seq).count
+			// Every prefix of the pinned star; the single region's first
+			// rows, its first mid-to-mid boundary and its end.
+			limits := []int{0, 1, 2, 40, 41, 57, all - 1, all, all + 1}
+			if inst.name == "pinned" {
+				limits = limits[:0]
+				for k := 0; k <= all+1; k++ {
+					limits = append(limits, k)
+				}
+			}
+			wants := make([]dispatchRun, len(limits))
+			for i, limit := range limits {
+				seq.MaxSolutions = limit
+				wants[i] = runDispatch(t, inst, sem, seq)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/%v/workers=%d", inst.name, sem, workers), func(t *testing.T) {
+					for i, want := range wants {
+						par := seq
+						par.Workers = workers
+						par.MaxSolutions = limits[i]
+						got := runDispatch(t, inst, sem, par)
+						if got.spawned > 0 {
+							t.Fatalf("limit=%d: %d goroutines started for one start candidate", limits[i], got.spawned)
+						}
+						got.spawned = want.spawned
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("limit=%d: workers=%d differs from workers=1:\n got %d rows, count %d, profiles %+v\nwant %d rows, count %d, profiles %+v",
+								limits[i], workers, len(got.streamed), got.count, got.profs, len(want.streamed), want.count, want.profs)
+						}
+					}
+				})
+			}
+		}
+	}
+
+	sg, sq := starInstance(2, 40, 2)
+	two := instance{"two-hubs", sg, sq}
+	seq := Optimized()
+	seq.Workers = 1
+	if _, cands := newMatcher(ctx, sg, sq, Homomorphism, seq).startCandidates(); len(cands) != 2 {
+		t.Fatalf("two-hubs: %d start candidates, want 2", len(cands))
+	}
+	want := runDispatch(t, two, Homomorphism, seq)
+	for _, workers := range []int{2, 4, 8} {
+		par := seq
+		par.Workers = workers
+		got := runDispatch(t, two, Homomorphism, par)
+		if got.spawned == 0 {
+			t.Fatalf("workers=%d: no goroutine seen inside the visitor, so the pipeline did not run", workers)
+		}
+		if !reflect.DeepEqual(got.streamed, want.streamed) || got.count != want.count {
+			t.Fatalf("workers=%d: %d rows, count %d; want %d rows, count %d", workers, len(got.streamed), got.count, len(want.streamed), want.count)
 		}
 	}
 }

@@ -43,13 +43,14 @@ type Engine struct {
 }
 
 // New builds an engine over transformed data with the given matcher options.
-// Workers == 0 defaults to runtime.GOMAXPROCS(0), so every execution path is
-// parallel out of the box: Exec, Count, Select and All run the ordered
-// region pipeline, whose reorder stage preserves the sequential row order,
-// early termination, and MaxSolutions determinism.
-// Nothing about the default costs determinism — results with Workers = N
-// are byte-identical to Workers = 1, capped or not. Pass Workers = 1 for
-// strictly sequential execution (ablations, single-core boxes).
+// Workers == 0 defaults to runtime.GOMAXPROCS(0). Each matcher run of Exec,
+// Count, Select and All then decides for itself: one start candidate runs
+// sequentially on the calling goroutine, two or more run the ordered region
+// pipeline, whose reorder stage preserves the sequential row order, early
+// termination, and MaxSolutions determinism. Nothing about the default
+// costs determinism — results with Workers = N are byte-identical to
+// Workers = 1, capped or not. Pass Workers = 1 for strictly sequential
+// execution (ablations, single-core boxes).
 func New(data *transform.Data, opts core.Opts) *Engine {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)

@@ -241,3 +241,34 @@ func TestSelectWorkersLimitDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestOneCandidateSelectAllocs: a query whose start vertex has one
+// candidate runs sequentially at any Workers, so Select plus a full drain
+// allocates no more at Workers = 4 than at Workers = 1 — no pipeline, and no
+// per-row copy for the consumer.
+func TestOneCandidateSelectAllocs(t *testing.T) {
+	data := transform.Build(uniTriples(), transform.TypeAware)
+	q := streamPrefix + `SELECT ?x WHERE { ?x :memberOf :dept0 . }`
+	allocs := map[int]float64{}
+	for _, w := range []int{1, 4} {
+		opts := core.Optimized()
+		opts.Workers = w
+		pq, err := New(data, opts).Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prof core.ProfileResult
+		if rows := drain(t, pq.SelectProfiled(context.Background(), &prof)); len(rows) < 2 || prof.StartCandidates != 1 {
+			t.Fatalf("workers=%d: %d rows from %d start candidates, want several rows from one", w, len(rows), prof.StartCandidates)
+		}
+		allocs[w] = testing.AllocsPerRun(50, func() {
+			rows := pq.Select(context.Background())
+			for rows.Next() {
+			}
+			rows.Close()
+		})
+	}
+	if allocs[4] > allocs[1] {
+		t.Fatalf("Select+drain allocates %.0f at workers=4, %.0f at workers=1", allocs[4], allocs[1])
+	}
+}

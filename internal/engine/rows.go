@@ -43,11 +43,12 @@ func (r *Rows) Footprint() *cache.Footprint { return r.fp }
 
 // Select starts executing the prepared query and returns a cursor over its
 // rows: a pull over the same row sequence All yields. Execution advances
-// only as the consumer pulls: on a sequential engine the matcher runs in
-// lockstep with Next, and on a parallel engine (Workers > 1) the ordered
-// region pipeline searches candidate regions through resumable cursors,
-// buffering no more than StreamBuffer rows ahead of the consumer — even a
-// single region with a huge result set streams its first rows after a
+// only as the consumer pulls: a sequential matcher run (Workers = 1, or a
+// start vertex with one candidate) runs in lockstep with Next, and a
+// parallel one (Workers > 1, two or more candidates) runs the ordered
+// region pipeline, which searches candidate regions through resumable
+// cursors, buffering no more than StreamBuffer rows ahead of the consumer —
+// even a single region with a huge result set streams its first rows after a
 // bounded amount of search — so closing the cursor after k rows still does
 // on the order of k rows' search work (plus the row window). Row order is
 // identical for every worker count. ORDER BY with LIMIT holds only the best

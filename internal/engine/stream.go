@@ -156,8 +156,9 @@ func rowKey(row []rdf.Term) string {
 // streamGroup is the one evaluator of a flat group: it runs the group's
 // plan depth first, pushing unprojected solution rows to emit. The first
 // query-graph component streams straight from the matcher's visitor — in
-// parallel but in sequential row order when Workers > 1, via the ordered
-// region pipeline — and the remaining components are materialized once and
+// parallel but in sequential row order when Workers > 1 and its start
+// vertex has two or more candidates, via the ordered region pipeline — and
+// the remaining components are materialized once and
 // cross-joined per streamed solution. Each joined row then passes through
 // the variable-type expansions, the OPTIONAL left joins and the post
 // filters before it is emitted. Top-level groups run with no outer

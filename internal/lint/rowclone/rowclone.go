@@ -16,9 +16,10 @@
 // same-package function) where the callee expects a Visitor — a
 // func(Match) bool, by name or by shape — the callback's Match parameter
 // and everything aliasing it is tracked as borrowed. Escaping a borrowed
-// value is a finding. Calls whose callee is named runPipeline are exempt:
-// the pipeline delivers owned rows (each worker clones into its buffer
-// before the reorder stage), so its consumer may retain them freely.
+// value is a finding. A call to the matcher's execute whose owned argument
+// is the constant true is exempt: it hands its visitor owned rows (the
+// sequential branch clones them, and each pipeline worker clones into its
+// buffer before the reorder stage), so that consumer may retain them freely.
 //
 // Cloning launders the taint: mt.Clone(), append([]uint32(nil), s...),
 // slices.Clone(s), and copy(dst, s) all produce owned memory. Passing a
@@ -30,6 +31,7 @@ package rowclone
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
@@ -53,8 +55,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			if lintutil.CalleeName(call) == "runPipeline" {
-				return true // owning lender: pipeline rows are deep copies
+			if ownedRows(pass, call) {
+				return true
 			}
 			sig := calleeSignature(pass, call)
 			if sig == nil {
@@ -87,6 +89,16 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
+}
+
+// ownedRows reports whether call is execute(visit, true): the matcher entry
+// asked for rows its visitor may keep.
+func ownedRows(pass *analysis.Pass, call *ast.CallExpr) bool {
+	if lintutil.CalleeName(call) != "execute" || len(call.Args) != 2 {
+		return false
+	}
+	v := pass.TypesInfo.Types[call.Args[1]].Value
+	return v != nil && v.Kind() == constant.Bool && constant.BoolVal(v)
 }
 
 // funcDecls indexes the package's function declarations by object, so a

@@ -24,9 +24,10 @@ type matcher struct{}
 // run lends borrowed rows to the visitor.
 func (m *matcher) run(visit Visitor) int { return 0 }
 
-// runPipeline delivers owned rows (workers clone before the reorder
-// stage), so its consumers may retain them freely.
-func (m *matcher) runPipeline(visit Visitor) int { return 0 }
+// execute delivers owned rows when owned is set (clones on the sequential
+// branch, worker copies on the pipeline), so those consumers may retain
+// them freely; with owned unset it lends, like run.
+func (m *matcher) execute(visit Visitor, owned bool) int { return 0 }
 
 // collectAliased is the PR 4 bug verbatim: every element of out ends up
 // sharing one backing array and holds the last solution.
@@ -49,13 +50,23 @@ func collectCloned(m *matcher) []Match {
 	return out
 }
 
-// collectPipeline retains pipeline rows, which are owned.
-func collectPipeline(m *matcher) []Match {
+// collectOwned retains rows execute was asked to hand out owned.
+func collectOwned(m *matcher) []Match {
 	var out []Match
-	m.runPipeline(func(mt Match) bool {
+	m.execute(func(mt Match) bool {
 		out = append(out, mt)
 		return true
-	})
+	}, true)
+	return out
+}
+
+// collectLent retains rows execute only lends.
+func collectLent(m *matcher) []Match {
+	var out []Match
+	m.execute(func(mt Match) bool {
+		out = append(out, mt) // want `borrowed matcher row stored in a variable captured from outside the callback`
+		return true
+	}, false)
 	return out
 }
 

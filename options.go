@@ -56,23 +56,25 @@ func (m NECMode) String() string {
 // Options configure a Store. The zero value (and nil) mean: type-aware
 // transformation, the full TurboHOM++ optimization suite, the NEC query
 // reduction, and automatic parallelism (Workers resolves to
-// runtime.GOMAXPROCS; uncapped parallel results keep the sequential row
-// order).
+// runtime.GOMAXPROCS; parallel results keep the sequential row order).
 type Options struct {
 	// Transformation selects the graph transformation.
 	Transformation Transformation
 
 	// Workers sets the number of goroutines that process candidate regions
-	// in parallel (paper §5.2). Zero means automatic (runtime.GOMAXPROCS),
-	// so every execution path is parallel out of the box; 1 forces
-	// sequential execution. Streaming cursors (Select/All) run the ordered
-	// region pipeline: workers search regions concurrently while a reorder
-	// stage emits rows in the exact sequential order, so row order stays
+	// in parallel (paper §5.2). Zero means automatic (runtime.GOMAXPROCS);
+	// 1 forces sequential execution. With Workers > 1, a query whose start
+	// vertex has two or more candidate regions runs the ordered region
+	// pipeline: workers search regions concurrently while a reorder stage
+	// emits rows in the exact sequential order, so row order stays
 	// deterministic — byte-identical across worker counts — and closing a
-	// cursor early still abandons the unexplored regions.
+	// cursor early still abandons the unexplored regions. A query with one
+	// candidate region has nothing to distribute and runs sequentially on
+	// the caller's goroutine at any Workers.
 	Workers int
 
-	// StreamBuffer bounds parallel streaming's buffering in ROWS: the
+	// StreamBuffer bounds parallel streaming's buffering in ROWS, and
+	// applies only to queries that run the region pipeline: the
 	// number of not-yet-delivered solutions workers may hold ahead of the
 	// row consumer before they block with their region search suspended
 	// (per-row backpressure). The bound is independent of region size —

@@ -305,14 +305,16 @@ func (p *Prepared) Ask() bool { return p.pq.Ask() }
 // cursor: a pull over the same row sequence All yields, so both return the
 // same rows in the same order. Rows flow from the matcher as the consumer
 // pulls them; closing the cursor (or cancelling ctx) after k rows abandons
-// the remaining search instead of completing it. On a store with
-// Workers > 1 (the default)
-// matching runs on the ordered parallel region pipeline: workers search
-// candidate regions through resumable cursors, buffering no more than
-// Options.StreamBuffer rows ahead of the consumer (so even a single region
-// with an enormous result set streams its first rows promptly, in bounded
-// memory), and rows are emitted in the exact sequential order — the row
-// sequence is byte-identical for every worker count. ORDER BY must see
+// the remaining search instead of completing it. A query whose start
+// vertex has one candidate region runs sequentially on the caller's
+// goroutine at any Workers. With two or more, on a store with Workers > 1
+// (the default), matching runs on the ordered parallel region pipeline:
+// workers search candidate regions through resumable cursors, buffering no
+// more than Options.StreamBuffer rows ahead of the consumer, and rows are
+// emitted in the exact sequential order — the row sequence is
+// byte-identical for every worker count. Either way a region with an
+// enormous result set streams its first rows promptly, in bounded memory.
+// ORDER BY must see
 // every solution before the first row leaves, but no longer materializes
 // the result set to sort it: ORDER BY with LIMIT k keeps only the best
 // k+offset rows in a bounded heap (O(k) result memory), and unbounded
