@@ -548,28 +548,31 @@ SELECT ?h ?a ?b ?c WHERE { ?h ex:knows ?a . ?h ex:knows ?b . ?h ex:knows ?c . }`
 
 // skewedTriples builds the pathological-store fixture: one hub subject with
 // `fan` objects over one predicate, so the two-variable star query below has
-// a single candidate region yielding fan² rows — the whole-region-buffering
-// worst case the resumable pipeline exists to tame.
+// one candidate region yielding fan² rows — the whole-region-buffering
+// worst case the resumable pipeline exists to tame. A second hub with one
+// object follows it, so ?h has two start candidates and a run with
+// Workers > 1 goes through the pipeline rather than one sequential Cursor.
 func skewedTriples(fan int) ([]Triple, string) {
 	e := func(s string) Term { return NewIRI("http://ex.org/" + s) }
-	ts := make([]Triple, 0, fan)
+	ts := make([]Triple, 0, fan+1)
 	for f := 0; f < fan; f++ {
 		ts = append(ts, Triple{S: e("hub"), P: e("p"), O: e(fmt.Sprintf("leaf%d", f))})
 	}
+	ts = append(ts, Triple{S: e("hub2"), P: e("p"), O: e("leaf")})
 	q := `PREFIX ex: <http://ex.org/>
 SELECT ?a ?b WHERE { ?h ex:p ?a . ?h ex:p ?b . }`
 	return ts, q
 }
 
 // BenchmarkSkewedFirstRows is the per-row-bounded-streaming acceptance
-// benchmark: the first 10 rows of a single region that yields >200k
+// benchmark: the first 10 rows of a region that yields >200k
 // solutions, drained through a parallel streaming cursor (bounded segments
 // from a suspended search cursor) vs full materialization (what consuming
 // the first rows cost when a region buffered its entire result).
 // bytes-per-row is the per-delivered-row allocation footprint of the
 // streamed path.
 func BenchmarkSkewedFirstRows(b *testing.B) {
-	const fan = 450 // one region, fan² = 202 500 rows
+	const fan = 450 // region 0 alone: fan² = 202 500 rows
 	ts, q := skewedTriples(fan)
 	const firstRows = 10
 	ctx := context.Background()

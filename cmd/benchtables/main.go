@@ -55,17 +55,16 @@ func main() {
 	}
 	for _, b := range selected {
 		if _, err := b.build().WriteTo(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
+			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", b.label, err)
 			os.Exit(1)
 		}
 	}
 }
 
 // block is one output block: a table or figure, at one LUBM scale for the
-// LUBM ones (scale 0 for the rest), built when it is written.
+// LUBM ones, built when it is written. label names it, e.g. "fig 16 @ LUBM-4".
 type block struct {
-	name  string
-	scale int
+	label string
 	build func() *bench.Table
 }
 
@@ -76,7 +75,7 @@ func blocks(s bench.Scales, want func(kind, id string) bool) []block {
 	var out []block
 	one := func(kind, id string, build func() *bench.Table) {
 		if want(kind, id) {
-			out = append(out, block{kind + " " + id, 0, build})
+			out = append(out, block{kind + " " + id, build})
 		}
 	}
 	perScale := func(kind, id string, build func(scale int) *bench.Table) {
@@ -84,7 +83,7 @@ func blocks(s bench.Scales, want func(kind, id string) bool) []block {
 			return
 		}
 		for _, sc := range s.LUBM {
-			out = append(out, block{kind + " " + id, sc, func() *bench.Table { return build(sc) }})
+			out = append(out, block{fmt.Sprintf("%s %s @ LUBM-%d", kind, id, sc), func() *bench.Table { return build(sc) }})
 		}
 	}
 	one("table", "1", func() *bench.Table { return bench.Table1(s) })

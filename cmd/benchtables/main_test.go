@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -16,19 +15,19 @@ func TestBlocksFanOutLUBMScales(t *testing.T) {
 		kind, id string
 		want     []string
 	}{
-		{"table", "2", []string{"table 2@0"}},
-		{"table", "3", []string{"table 3@1", "table 3@4", "table 3@16"}},
-		{"table", "4", []string{"table 4@0"}},
-		{"table", "7", []string{"table 7@1", "table 7@4", "table 7@16"}},
-		{"fig", "6", []string{"fig 6@1", "fig 6@4", "fig 6@16"}},
-		{"fig", "15", []string{"fig 15@1", "fig 15@4", "fig 15@16"}},
-		{"fig", "16", []string{"fig 16@1", "fig 16@4", "fig 16@16"}},
+		{"table", "2", []string{"table 2"}},
+		{"table", "3", []string{"table 3 @ LUBM-1", "table 3 @ LUBM-4", "table 3 @ LUBM-16"}},
+		{"table", "4", []string{"table 4"}},
+		{"table", "7", []string{"table 7 @ LUBM-1", "table 7 @ LUBM-4", "table 7 @ LUBM-16"}},
+		{"fig", "6", []string{"fig 6 @ LUBM-1", "fig 6 @ LUBM-4", "fig 6 @ LUBM-16"}},
+		{"fig", "15", []string{"fig 15 @ LUBM-1", "fig 15 @ LUBM-4", "fig 15 @ LUBM-16"}},
+		{"fig", "16", []string{"fig 16 @ LUBM-1", "fig 16 @ LUBM-4", "fig 16 @ LUBM-16"}},
 		{"fig", "99", nil},
 	}
 	for _, tc := range cases {
 		var got []string
 		for _, b := range blocks(s, func(kind, id string) bool { return kind == tc.kind && id == tc.id }) {
-			got = append(got, fmt.Sprintf("%s@%d", b.name, b.scale))
+			got = append(got, b.label)
 		}
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s %s: blocks %v, want %v", tc.kind, tc.id, got, tc.want)

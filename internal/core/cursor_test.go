@@ -315,8 +315,10 @@ func heavyTailInstance(light, heavy, heavyFan int) (*graph.Graph, *QueryGraph) {
 // work even when one region holds millions of solutions — the batch-local
 // cutoff stops the cursor mid-region (a regression here once cost ~700x:
 // workers with no limit searched whole batches before delivering any count).
+// The tiny second hub gives the start vertex two candidates, so the count
+// runs through the pipeline rather than one sequential Cursor.
 func TestCappedParallelCountBounded(t *testing.T) {
-	g, q := skewedInstance(2000, 0, 0) // one region, 4M rows
+	g, q := skewedInstance(2000, 1, 1) // region 0 alone: 4M rows
 	opts := Optimized()
 	opts.NoNEC = true // count every solution individually
 	opts.Workers = 4
@@ -326,6 +328,9 @@ func TestCappedParallelCountBounded(t *testing.T) {
 	n, err := Count(context.Background(), g, q, Homomorphism, opts)
 	if err != nil || n != 1 {
 		t.Fatalf("n=%d err=%v", n, err)
+	}
+	if prof.StartCandidates < 2 {
+		t.Fatalf("%d start candidates: the count ran sequentially, not through the pipeline", prof.StartCandidates)
 	}
 	if prof.SearchNodes > 200_000 {
 		t.Fatalf("capped count searched %d nodes of a 4M-row region: early termination lost", prof.SearchNodes)

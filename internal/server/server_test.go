@@ -413,6 +413,7 @@ func TestQueryTimeout(t *testing.T) {
 func TestGracefulShutdownDrains(t *testing.T) {
 	store := turbohom.New(fanTriples(120), &turbohom.Options{Workers: 2, StreamBuffer: 8})
 	defer store.Close()
+	requirePipelined(t, store, fanHubsQuery)
 	srv := server.New(store, turbohom.ServerOptions{QueryTimeout: -1, DrainTimeout: 500 * time.Millisecond})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -425,7 +426,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	base := "http://" + l.Addr().String()
 
 	// Open a stream and read just the head, leaving the request in flight.
-	resp := get(t, base+"/sparql?query="+url.QueryEscape(fanQuery), "")
+	resp := get(t, base+"/sparql?query="+url.QueryEscape(fanHubsQuery), "")
 	defer resp.Body.Close()
 	buf := make([]byte, 64)
 	if _, err := io.ReadFull(resp.Body, buf); err != nil {

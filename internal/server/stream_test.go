@@ -22,22 +22,54 @@ import (
 // The fan query joins both fans through the shared hub, so n children yield
 // n*n rows from 2n+ triples — a cheap way to make a response that dwarfs any
 // socket buffer. The two predicates differ so NEC merging cannot collapse
-// the query vertices.
+// the query vertices. A second hub with one child on each predicate follows
+// the first: fanQuery pins the first hub and never sees it, while
+// fanHubsQuery leaves the hub a variable with two start candidates.
 func fanTriples(n int) []turbohom.Triple {
 	hub := rdf.NewIRI("http://x/hub")
 	p := rdf.NewIRI("http://x/p")
 	q := rdf.NewIRI("http://x/q")
-	ts := make([]turbohom.Triple, 0, 2*n)
+	ts := make([]turbohom.Triple, 0, 2*n+2)
 	for i := 0; i < n; i++ {
 		ts = append(ts,
 			turbohom.Triple{S: hub, P: p, O: rdf.NewIRI(fmt.Sprintf("http://x/p%04d", i))},
 			turbohom.Triple{S: hub, P: q, O: rdf.NewIRI(fmt.Sprintf("http://x/q%04d", i))},
 		)
 	}
-	return ts
+	hub2 := rdf.NewIRI("http://x/hub2")
+	return append(ts,
+		turbohom.Triple{S: hub2, P: p, O: rdf.NewIRI("http://x/p2")},
+		turbohom.Triple{S: hub2, P: q, O: rdf.NewIRI("http://x/q2")},
+	)
 }
 
+// fanQuery pins the first hub: one start candidate, n*n rows, searched
+// sequentially at any Workers.
 const fanQuery = `SELECT ?a ?b WHERE { <http://x/hub> <http://x/p> ?a . <http://x/hub> <http://x/q> ?b . }`
+
+// fanHubsQuery matches both hubs: n*n+1 rows from two start candidates, so
+// a store with Workers > 1 streams it through the region pipeline.
+const fanHubsQuery = `SELECT ?a ?b WHERE { ?h <http://x/p> ?a . ?h <http://x/q> ?b . }`
+
+// requirePipelined fails the test unless query has at least two start
+// candidates on store, which is what sends a Workers > 1 run through the
+// pipeline's workers instead of one sequential Cursor.
+func requirePipelined(t *testing.T, store *turbohom.Store, query string) {
+	t.Helper()
+	p, err := store.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prof turbohom.ProfileResult
+	rows := p.SelectProfiled(context.Background(), &prof)
+	rows.Next()
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if prof.StartCandidates < 2 {
+		t.Fatalf("%d start candidates: the query runs sequentially, not through the pipeline", prof.StartCandidates)
+	}
+}
 
 // totalAlloc reports cumulative bytes allocated by the process.
 func totalAlloc() uint64 {
@@ -86,11 +118,12 @@ func TestServeSlowClientBoundedAlloc(t *testing.T) {
 	const n = 450 // 202,500 rows ≈ tens of MB serialized
 	store := turbohom.New(fanTriples(n), &turbohom.Options{Workers: 2, StreamBuffer: 8})
 	defer store.Close()
+	requirePipelined(t, store, fanHubsQuery)
 	srv := server.New(store, turbohom.ServerOptions{QueryTimeout: -1})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(fanQuery), nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(fanHubsQuery), nil).WithContext(ctx)
 	w := newBlockingWriter(ctx, 4<<10)
 
 	done := make(chan struct{})
@@ -147,6 +180,7 @@ func TestDisconnectOverTCP(t *testing.T) {
 	const n = 450 // 202,500 rows ≈ 18 MB of JSON, far beyond the socket buffers
 	store := turbohom.New(fanTriples(n), &turbohom.Options{Workers: 2, StreamBuffer: 8})
 	defer store.Close()
+	requirePipelined(t, store, fanHubsQuery)
 	// The result cache is off: teeing rows into a prospective entry would
 	// legitimately allocate up to the entry cap, and this test is about the
 	// live stream.
@@ -154,7 +188,7 @@ func TestDisconnectOverTCP(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(fanQuery))
+	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(fanHubsQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +241,12 @@ func TestStreamDeliversAllRows(t *testing.T) {
 	const n = 60
 	store := turbohom.New(fanTriples(n), &turbohom.Options{Workers: 2, StreamBuffer: 8})
 	defer store.Close()
+	requirePipelined(t, store, fanHubsQuery)
 	srv := server.New(store, turbohom.ServerOptions{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(fanQuery))
+	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(fanHubsQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +255,16 @@ func TestStreamDeliversAllRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per line: count the binding lines instead of decoding 3,600
+	// One row per line: count the binding lines instead of decoding 3,601
 	// rows' worth of JSON.
 	got := strings.Count(string(body), `{"a":`)
-	if got != n*n {
-		t.Fatalf("streamed %d rows, want %d", got, n*n)
+	if got != n*n+1 {
+		t.Fatalf("streamed %d rows, want %d", got, n*n+1)
 	}
 	if tr := resp.Trailer.Get(server.TrailerError); tr != "" {
 		t.Fatalf("unexpected error trailer %q", tr)
 	}
-	if m := srv.Metrics(); m.RowsStreamed != int64(n*n) || m.QueriesOK != 1 {
+	if m := srv.Metrics(); m.RowsStreamed != int64(n*n+1) || m.QueriesOK != 1 {
 		t.Fatalf("metrics %+v", m)
 	}
 }

@@ -18,8 +18,10 @@ func totalAlloc() uint64 {
 // TestSkewedSelectBoundedAlloc is the memory-bound regression test of the
 // resumable pipeline, and the target of the GOMEMLIMIT-constrained CI step:
 // one candidate region yields fan² = 202 500 rows, and streaming its first
-// 10 through a parallel cursor must allocate a bounded amount — a few
-// hundred KB of segments and machinery — independent of the region size.
+// 10 through the pipeline must allocate a bounded amount — a few hundred KB
+// of segments and machinery — independent of the region size. The profiled
+// warm-up pins that the run has two start candidates, so Workers = 2 really
+// starts the pipeline.
 // Whole-region buffering allocated >100 MB here (the materialized leg of
 // BenchmarkSkewedFirstRows still does), which is why CI runs this test
 // under a GOMEMLIMIT that the old behavior could not respect.
@@ -34,9 +36,13 @@ func TestSkewedSelectBoundedAlloc(t *testing.T) {
 
 	// Warm once (plan caches, dictionaries) so the measured pass is steady
 	// state.
-	warm := p.Select(ctx)
+	var prof ProfileResult
+	warm := p.SelectProfiled(ctx, &prof)
 	warm.Next()
 	warm.Close()
+	if prof.StartCandidates < 2 {
+		t.Fatalf("%d start candidates: the run is sequential, not pipelined", prof.StartCandidates)
+	}
 
 	before := totalAlloc()
 	rows := p.Select(ctx)
