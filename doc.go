@@ -32,8 +32,8 @@
 //   - Rows streams solutions as the matcher finds them. The engine's
 //     early-termination machinery is wired straight into the cursor:
 //     closing a Rows (or cancelling its context) after k rows abandons the
-//     remaining candidate regions instead of scanning them, which is the
-//     paper's MaxSolutions idea surfaced as an API contract.
+//     remaining candidate regions instead of scanning them, and a SPARQL
+//     LIMIT stops the search the same way once it has its rows.
 //
 //   - Graph and Pattern expose the underlying matcher for generic labeled
 //     graphs: classic subgraph isomorphism and e-graph homomorphism

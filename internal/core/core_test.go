@@ -358,24 +358,6 @@ func TestMultiEdgeWildcardBindings(t *testing.T) {
 	}
 }
 
-func TestMaxSolutions(t *testing.T) {
-	g := fig1Data()
-	q := fig1Query()
-	opts := Optimized()
-	opts.MaxSolutions = 2
-	n, err := Count(context.Background(), g, q, Homomorphism, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("capped count = %d, want 2", n)
-	}
-	sols, _ := Collect(context.Background(), g, q, Homomorphism, opts)
-	if len(sols) != 2 {
-		t.Errorf("capped collect = %d, want 2", len(sols))
-	}
-}
-
 func TestStreamStop(t *testing.T) {
 	g := fig1Data()
 	q := fig1Query()
@@ -514,22 +496,6 @@ func TestPointQueryFastPath(t *testing.T) {
 		if len(sols) != 2 {
 			t.Fatalf("workers=%d: collected %d, want 2", workers, len(sols))
 		}
-	}
-}
-
-// TestPointQueryRespectsLimit checks MaxSolutions on the fast path.
-func TestPointQueryRespectsLimit(t *testing.T) {
-	g := fig1Data()
-	q := NewQueryGraph()
-	q.AddVertex(nil, NoID) // every vertex matches
-	opts := Optimized()
-	opts.MaxSolutions = 3
-	n, err := Count(context.Background(), g, q, Homomorphism, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("count = %d, want 3 (limited)", n)
 	}
 }
 

@@ -80,20 +80,27 @@ func TestVisitorStopIsNotAnError(t *testing.T) {
 	}
 }
 
-func TestMaxSolutionsProfileCountsPartialEffort(t *testing.T) {
+// TestVisitorStopProfileCountsPartialEffort: a run its visitor stops after
+// three rows reports only the effort spent before the stop.
+func TestVisitorStopProfileCountsPartialEffort(t *testing.T) {
 	g, q := bipartiteInstance(32)
 	full, err := Profile(context.Background(), g, q, Homomorphism, Optimized())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Optimized()
-	opts.MaxSolutions = 3
-	part, err := Profile(context.Background(), g, q, Homomorphism, opts)
+	var part ProfileResult
+	opts.Profile = &part
+	seen := 0
+	n, err := Stream(context.Background(), g, q, Homomorphism, opts, func(Match) bool {
+		seen++
+		return seen < 3
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.Solutions != 3 {
-		t.Fatalf("limited solutions = %d, want 3", part.Solutions)
+	if n != 3 || seen != 3 {
+		t.Fatalf("stopped run visited %d (returned %d), want 3", seen, n)
 	}
 	if part.Regions >= full.Regions || part.SearchNodes >= full.SearchNodes {
 		t.Fatalf("early termination did not shrink effort: partial %+v vs full %+v", part, full)

@@ -127,10 +127,10 @@ func (rc *regionCursor) start(st *searchState) {
 
 // resume advances the search until maxRows more solutions have been emitted
 // (counted the way the run counts them, so an NEC bulk count may overshoot),
-// the region is exhausted, or the search stops (visitor false, limit,
-// cancellation). It reports whether the region is finished; false means the
-// cursor is suspended and resume can be called again. maxRows <= 0 runs to
-// exhaustion.
+// the region is exhausted, or the search stops (visitor false, the
+// pipeline's stop flag, cancellation). It reports whether the region is
+// finished; false means the cursor is suspended and resume can be called
+// again. maxRows <= 0 runs to exhaustion.
 func (rc *regionCursor) resume(maxRows int) bool {
 	st := rc.st
 	base := st.count
@@ -187,9 +187,9 @@ func (f *cframe) undo(st *searchState) {
 // and undoing every binding the frames still hold, exactly as each frame's
 // own re-entry would. After abort the searchState is clean for the next
 // region: required whenever the state outlives the abandoned region, as in
-// the pipeline's batch-limit cutoffs, where a worker that dropped a
-// suspended cursor without unwinding would silently prune its later batches
-// against stale used[]/varBind[] entries.
+// a pipeline worker whose region is cut short by shutdown; a worker that
+// dropped a suspended cursor without unwinding would silently prune its
+// later regions against stale used[]/varBind[] entries.
 func (rc *regionCursor) abort() {
 	st := rc.st
 	for i := len(rc.stack) - 1; i >= 0; i-- {
@@ -574,9 +574,9 @@ type Cursor struct {
 // NewCursor validates the query and prepares a resumable enumeration of all
 // matches of q in g. Rows are delivered to visit (which may stop the run by
 // returning false) during Resume calls, in the sequential enumeration order;
-// opts.Profile, MaxSolutions and the ctx-cancellation contract behave as in
-// Stream. opts.Workers is ignored — a cursor is the sequential search;
-// parallelism schedules many cursors.
+// opts.Profile and the ctx-cancellation contract behave as in Stream.
+// opts.Workers is ignored — a cursor is the sequential search; parallelism
+// schedules many cursors.
 func NewCursor(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts, visit Visitor) (*Cursor, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -609,7 +609,7 @@ func (m *matcher) cursorFrom(start int, cands []uint32, visit Visitor) *Cursor {
 		// deepest stack without an NEC expansion.
 		c.rc.stack = make([]cframe, 0, len(m.q.Vertices)+len(m.q.Edges))
 	}
-	c.st = newSearchState(m, visit, m.opts.MaxSolutions)
+	c.st = newSearchState(m, visit)
 	c.st.profile = m.opts.Profile
 	return c
 }
@@ -624,14 +624,14 @@ func (c *Cursor) Resume(maxRows int) (int, bool, error) {
 		return 0, true, c.err()
 	}
 	st := c.st
-	before := c.clampedCount()
+	before := st.count
 
 	if c.point {
 		c.resumePoint(maxRows, before)
 		if c.done {
 			c.m.foldSigCounters()
 		}
-		return c.clampedCount() - before, c.done, c.err()
+		return st.count - before, c.done, c.err()
 	}
 
 	for {
@@ -642,12 +642,12 @@ func (c *Cursor) Resume(maxRows int) (int, bool, error) {
 		if c.in {
 			b := 0 // rows left for this call; 0 = unlimited
 			if maxRows > 0 {
-				if b = maxRows - (c.clampedCount() - before); b <= 0 {
-					return c.clampedCount() - before, false, nil
+				if b = maxRows - (st.count - before); b <= 0 {
+					return st.count - before, false, nil
 				}
 			}
 			if !c.rc.resume(b) {
-				return c.clampedCount() - before, false, nil
+				return st.count - before, false, nil
 			}
 			c.in = false
 			continue
@@ -684,7 +684,7 @@ func (c *Cursor) Resume(maxRows int) (int, bool, error) {
 		c.in = true
 	}
 	c.m.foldSigCounters()
-	return c.clampedCount() - before, true, c.err()
+	return st.count - before, true, c.err()
 }
 
 // resumePoint enumerates a point-shaped query (Algorithm 1 lines 1-4): a
@@ -700,7 +700,7 @@ func (c *Cursor) resumePoint(maxRows, before int) {
 			c.done = true
 			return
 		}
-		if maxRows > 0 && c.clampedCount()-before >= maxRows {
+		if maxRows > 0 && st.count-before >= maxRows {
 			return
 		}
 		if c.next&1023 == 0 {
@@ -720,16 +720,6 @@ func (c *Cursor) resumePoint(maxRows, before int) {
 		st.emitMatch(st.mapping, st.edgeBind)
 	}
 	c.done = true
-}
-
-// clampedCount is the run's solution count clamped to MaxSolutions (an NEC
-// bulk count can exceed the cap by one expansion batch).
-func (c *Cursor) clampedCount() int {
-	n := c.st.count
-	if limit := c.m.opts.MaxSolutions; limit > 0 && n > limit {
-		n = limit
-	}
-	return n
 }
 
 func (c *Cursor) err() error {

@@ -158,45 +158,51 @@ func TestResumableWorkersDifferential(t *testing.T) {
 	}
 }
 
-// TestCursorLimitAndStop pins MaxSolutions and visitor-stop semantics on the
-// cursor: the same prefix as the sequential run, stopping mid-resume.
+// TestCursorLimitAndStop pins Resume's row budget together with
+// visitor-stop semantics on the cursor: a visitor stopping after 11 rows,
+// inside the fourth Resume(3), ends the run done with no error after the
+// same prefix as the sequential run; a stop under Resume(0) likewise.
 func TestCursorLimitAndStop(t *testing.T) {
 	g, q := bipartiteInstance(24)
 	opts := Optimized()
 	opts.Workers = 1
 	full := streamKeys(t, g, q, Homomorphism, opts)
 
-	opts.MaxSolutions = 11
-	got, n := cursorKeys(t, g, q, Homomorphism, opts, []int{3})
-	if n != 11 || len(got) != 11 {
-		t.Fatalf("limit: %d rows (reported %d), want 11", len(got), n)
-	}
-	for i := range got {
-		if got[i] != full[i] {
-			t.Fatalf("limit row %d: %s, want prefix %s", i, got[i], full[i])
+	for _, tc := range []struct{ stopAt, quota int }{{11, 3}, {5, 0}} {
+		var got []string
+		c, err := NewCursor(context.Background(), g, q, Homomorphism, opts, func(mt Match) bool {
+			got = append(got, matchKey(mt))
+			return len(got) < tc.stopAt
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Visitor stop: stop after 5 rows mid-resume; done with no error.
-	opts.MaxSolutions = 0
-	var stopped []string
-	c, err := NewCursor(context.Background(), g, q, Homomorphism, opts, func(mt Match) bool {
-		stopped = append(stopped, matchKey(mt))
-		return len(stopped) < 5
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, done, err := c.Resume(0)
-	if err != nil || !done {
-		t.Fatalf("stop: done=%v err=%v", done, err)
-	}
-	if n != 5 || len(stopped) != 5 {
-		t.Fatalf("stop: %d rows (reported %d), want 5", len(stopped), n)
-	}
-	// Idempotent after done.
-	if n, done, err := c.Resume(0); n != 0 || !done || err != nil {
-		t.Fatalf("post-done Resume = (%d, %v, %v)", n, done, err)
+		total, done := 0, false
+		for calls := 0; !done; calls++ {
+			var n int
+			if n, done, err = c.Resume(tc.quota); err != nil {
+				t.Fatalf("stop at %d: %v", tc.stopAt, err)
+			}
+			if tc.quota > 0 && n > tc.quota {
+				t.Fatalf("stop at %d: Resume(%d) emitted %d rows", tc.stopAt, tc.quota, n)
+			}
+			if calls > tc.stopAt {
+				t.Fatalf("stop at %d: still not done after %d calls", tc.stopAt, calls)
+			}
+			total += n
+		}
+		if total != tc.stopAt || len(got) != tc.stopAt {
+			t.Fatalf("stop at %d: %d rows (reported %d)", tc.stopAt, len(got), total)
+		}
+		for i := range got {
+			if got[i] != full[i] {
+				t.Fatalf("stop at %d row %d: %s, want prefix %s", tc.stopAt, i, got[i], full[i])
+			}
+		}
+		// Idempotent after done.
+		if n, done, err := c.Resume(0); n != 0 || !done || err != nil {
+			t.Fatalf("post-done Resume = (%d, %v, %v)", n, done, err)
+		}
 	}
 }
 
@@ -309,32 +315,6 @@ func heavyTailInstance(light, heavy, heavyFan int) (*graph.Graph, *QueryGraph) {
 		q.AddEdge(hub, leaf, 7)
 	}
 	return g, q
-}
-
-// TestCappedParallelCountBounded: MaxSolutions must bound parallel COUNT
-// work even when one region holds millions of solutions — the batch-local
-// cutoff stops the cursor mid-region (a regression here once cost ~700x:
-// workers with no limit searched whole batches before delivering any count).
-// The tiny second hub gives the start vertex two candidates, so the count
-// runs through the pipeline rather than one sequential Cursor.
-func TestCappedParallelCountBounded(t *testing.T) {
-	g, q := skewedInstance(2000, 1, 1) // region 0 alone: 4M rows
-	opts := Optimized()
-	opts.NoNEC = true // count every solution individually
-	opts.Workers = 4
-	opts.MaxSolutions = 1
-	var prof ProfileResult
-	opts.Profile = &prof
-	n, err := Count(context.Background(), g, q, Homomorphism, opts)
-	if err != nil || n != 1 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	if prof.StartCandidates < 2 {
-		t.Fatalf("%d start candidates: the count ran sequentially, not through the pipeline", prof.StartCandidates)
-	}
-	if prof.SearchNodes > 200_000 {
-		t.Fatalf("capped count searched %d nodes of a 4M-row region: early termination lost", prof.SearchNodes)
-	}
 }
 
 // TestPipelineSkewedFirstRowsBounded is the memory-bound regression: one

@@ -38,9 +38,9 @@ type ExplainResult struct {
 }
 
 // Explain counts the matches with one Cursor and reports the plan the
-// matcher chose together with its effort counters. It is a diagnostic: the run pays
-// for full execution (Solutions is exact), so cap it with Opts.MaxSolutions
-// when only the plan is of interest.
+// matcher chose together with its effort counters. It is a diagnostic: the
+// run pays for full execution (Solutions is exact); cancelling ctx cuts it
+// short with ctx.Err().
 func Explain(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts) (ExplainResult, error) {
 	var er ExplainResult
 	if err := q.Validate(); err != nil {

@@ -40,9 +40,9 @@ type Visitor func(Match) bool
 // not-yet-delivered rows in flight — per-row backpressure that suspends
 // workers mid-region); the visitor always runs on the calling goroutine.
 // Cancelling ctx abandons the candidate regions not yet emitted and returns
-// ctx.Err(); a visitor returning false stops cleanly with a nil error, and on
-// the pipeline abandons the work beyond the row window just like
-// MaxSolutions does.
+// ctx.Err(). A visitor returning false is the one other way a run stops
+// early: cleanly, with a nil error, and on the pipeline abandoning the work
+// beyond the row window.
 func Stream(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts, visit Visitor) (int, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -53,10 +53,9 @@ func Stream(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opt
 // Collect enumerates all matches and returns them as deep copies, always in
 // the sequential enumeration order: it runs where Stream would — one Cursor,
 // or the ordered pipeline for two or more candidate regions at Workers > 1 —
-// so a parallel Collect, including one capped by MaxSolutions, returns
-// exactly the rows and order of a sequential one. Cancelling ctx abandons the
-// remaining work and returns ctx.Err() along with the rows emitted before the
-// cancellation took effect.
+// so a parallel Collect returns exactly the rows and order of a sequential
+// one. Cancelling ctx abandons the remaining work and returns ctx.Err()
+// along with the rows emitted before the cancellation took effect.
 func Collect(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts) ([]Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -70,10 +69,10 @@ func Collect(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, op
 }
 
 // Count returns the number of matches without materializing them. It runs
-// where Stream would; on the pipeline, per-batch totals are summed in region
-// order, so a MaxSolutions cap clamps identically to a sequential count.
-// Counting runs with no visitor, which lets the NEC reduction total
-// equivalence-class expansions combinatorially instead of enumerating them.
+// where Stream would; on the pipeline, per-batch totals are summed into the
+// total a sequential count returns. Counting runs with no visitor, which
+// lets the NEC reduction total equivalence-class expansions combinatorially
+// instead of enumerating them.
 // Cancelling ctx abandons the remaining work and returns ctx.Err().
 func Count(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, opts Opts) (int, error) {
 	if err := q.Validate(); err != nil {

@@ -249,29 +249,6 @@ func TestNECProfileCounters(t *testing.T) {
 	}
 }
 
-// TestNECMaxSolutions checks the cap against the combinatorial bulk count,
-// which can only overshoot internally, never in the returned value.
-func TestNECMaxSolutions(t *testing.T) {
-	g := starData([]int{5, 5})
-	q := starQuery(3)
-	opts := Optimized()
-	opts.MaxSolutions = 7
-	n, err := Count(context.Background(), g, q, Homomorphism, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("capped count = %d, want 7", n)
-	}
-	sols, err := Collect(context.Background(), g, q, Homomorphism, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 7 {
-		t.Fatalf("capped collect = %d, want 7", len(sols))
-	}
-}
-
 // TestNECStreamStop ensures a visitor returning false stops mid-expansion.
 func TestNECStreamStop(t *testing.T) {
 	g := starData([]int{6, 6})

@@ -57,10 +57,10 @@ type Opts struct {
 	// batches from a shared counter and stream each batch's rows through
 	// its own channel, and the calling goroutine replays the batches in
 	// sequential region order, so row order, early termination (a visitor
-	// returning false, MaxSolutions) and cancellation behave exactly as in
-	// a sequential run. No more workers start than a run has batches. A run
-	// with one start candidate, or a point-shaped query, has no regions to
-	// distribute and runs sequentially at any Workers.
+	// returning false) and cancellation behave exactly as in a sequential
+	// run. No more workers start than a run has batches. A run with one
+	// start candidate, or a point-shaped query, has no regions to distribute
+	// and runs sequentially at any Workers.
 	Workers int
 	// StreamBuffer bounds the parallel pipeline's buffering in ROWS, and
 	// applies only to runs that start the pipeline: the
@@ -74,14 +74,11 @@ type Opts struct {
 	// early-terminated run can overshoot; larger values smooth the
 	// worker/emitter handoff.
 	StreamBuffer int
-	// MaxSolutions stops the search after this many solutions; 0 means
-	// unlimited.
-	MaxSolutions int
 	// Profile, when non-nil, accumulates effort counters (candidate regions
 	// explored, search-tree nodes visited) into the pointed-to result during
 	// the run. Parallel runs merge per-worker counters into it before
-	// returning: a run that completes (or stops by visitor/limit at the
-	// very end) reports the same Regions/SearchNodes totals as a sequential
+	// returning: a run that completes (or stops by visitor at the very
+	// end) reports the same Regions/SearchNodes totals as a sequential
 	// run, while an early-terminated parallel run may report somewhat more —
 	// workers race ahead of the emitter within the reorder window. The
 	// pointed-to result must not be read until the call returns. Solutions

@@ -13,9 +13,8 @@ import (
 // batch owns one channel of segments, announced on the ring in batch order;
 // the calling goroutine — the emitter — replays the batches in sequence, so
 // every sequential contract survives parallelism unchanged: rows arrive in
-// the sequential enumeration order, a visitor returning false stops the run,
-// and MaxSolutions cuts the stream at the same row it would cut a sequential
-// run.
+// the sequential enumeration order, and a visitor returning false stops the
+// run at the same row it would stop a sequential one.
 //
 // Backpressure is per row. A segment holds at most quota rows (derived from
 // Opts.StreamBuffer, which counts rows in flight); a worker that fills a
@@ -47,7 +46,6 @@ type pipeState struct {
 	chunk      int
 	numBatches int
 	collect    bool
-	limit      int
 	quota      int // max rows per segment
 	sharedPlan *searchPlan
 	skipBefore int
@@ -81,8 +79,7 @@ func pipelineQuota(streamBuffer, window, workers int) int {
 // opts.Workers parallel workers while delivering solutions to visit in
 // exactly the sequential enumeration order. The rows visit receives are
 // owned deep copies. With a nil visitor it is a parallel count: per-segment
-// totals are summed in region order, so MaxSolutions clamps as
-// deterministically as it does sequentially.
+// totals are summed into the total a sequential count returns.
 func (m *matcher) runPipeline(start int, cands []uint32, visit Visitor) (int, error) {
 	m.buildQueryTree(start)
 	m.profileHeader(start, len(cands))
@@ -143,7 +140,6 @@ func (m *matcher) runPipeline(start int, cands []uint32, visit Visitor) (int, er
 		chunk:      chunk,
 		numBatches: numBatches,
 		collect:    visit != nil,
-		limit:      m.opts.MaxSolutions,
 		quota:      quota,
 		sharedPlan: sharedPlan,
 		skipBefore: skipBefore,
@@ -176,7 +172,6 @@ func (m *matcher) runPipeline(start int, cands []uint32, visit Visitor) (int, er
 	}()
 
 	const maxInt = int(^uint(0) >> 1)
-	limit := m.opts.MaxSolutions
 	emitted := 0
 	var err error
 emit:
@@ -210,16 +205,10 @@ emit:
 					if !visit(mt) {
 						break emit
 					}
-					if limit > 0 && emitted >= limit {
-						break emit
-					}
 				}
 			}
 			if seg.err != nil {
 				err = seg.err
-				break emit
-			}
-			if limit > 0 && emitted >= limit {
 				break emit
 			}
 		}
@@ -231,10 +220,6 @@ emit:
 	// Wait for the workers so profile merging is complete and no goroutine
 	// outlives the call (Close/cancel rely on this for prompt teardown).
 	<-workersDone
-
-	if limit > 0 && emitted > limit {
-		emitted = limit
-	}
 	return emitted, err
 }
 
@@ -300,7 +285,7 @@ func (ps *pipeState) newWorker() *pipeWorker {
 			return true
 		}
 	}
-	w.st = newSearchState(m, visit, 0)
+	w.st = newSearchState(m, visit)
 	w.st.profile = w.localProf
 	w.st.stop = &ps.stop
 	return w
@@ -315,20 +300,7 @@ func (w *pipeWorker) runBatch(lo, hi int, segs chan<- segment) {
 	st := w.st
 	countBase := st.count
 	plan := ps.sharedPlan
-	// Batch-local MaxSolutions cutoff: once THIS batch alone has produced
-	// limit solutions, its remaining regions can never be emitted — the
-	// emitter, replaying in order, reaches the cap at or before this batch's
-	// end — so the batch closes early.
-	rowsLeft := func() int {
-		if ps.limit <= 0 {
-			return 0 // unlimited
-		}
-		if q := ps.limit - (st.count - countBase); q > 0 {
-			return q
-		}
-		return -1 // the batch produced MaxSolutions; the emitter cuts within it
-	}
-	for gi := lo; gi < hi && !st.stopped && rowsLeft() >= 0; gi++ {
+	for gi := lo; gi < hi && !st.stopped; gi++ {
 		if gi < ps.skipBefore {
 			continue // known explore failure (the +REUSE pre-pass)
 		}
@@ -348,7 +320,7 @@ func (w *pipeWorker) runBatch(lo, hi int, segs chan<- segment) {
 		}
 		st.rg, st.plan = w.rg, plan
 		w.rc.start(st)
-		w.runRegion(segs, rowsLeft)
+		w.runRegion(segs)
 	}
 	// Final segment: leftover rows, the batch's count (counting mode), and
 	// any context error that cut the search short.
@@ -367,21 +339,17 @@ func (w *pipeWorker) runBatch(lo, hi int, segs chan<- segment) {
 }
 
 // runRegion drives the worker's region cursor to completion, suspending on
-// backpressure. On a mid-region abandonment (batch limit reached, shutdown)
-// the cursor is unwound.
-func (w *pipeWorker) runRegion(segs chan<- segment, rowsLeft func() int) {
+// backpressure. On a mid-region abandonment (shutdown) the cursor is unwound.
+func (w *pipeWorker) runRegion(segs chan<- segment) {
 	ps := w.ps
 	st := w.st
-	regionDone := false
+	// Collect mode resumes row by row for eager delivery; count mode runs
+	// the region to its end in one call.
+	quota := 0
+	if ps.collect {
+		quota = 1
+	}
 	for {
-		// Collect mode resumes row by row for eager delivery; count mode
-		// runs until the region ends or the batch reaches the limit.
-		quota := 1
-		if !ps.collect {
-			if quota = rowsLeft(); quota < 0 {
-				break
-			}
-		}
 		done := w.rc.resume(quota)
 		if ps.collect && len(w.buf) > 0 {
 			// Eager per-row delivery: hand over whatever has accumulated
@@ -394,19 +362,16 @@ func (w *pipeWorker) runRegion(segs chan<- segment, rowsLeft func() int) {
 				}
 			}
 		}
-		if done || st.stopped {
-			regionDone = done
-			break
+		if done {
+			return
 		}
-		if rowsLeft() < 0 {
-			break // batch limit reached mid-region; abandon the rest
+		if st.stopped {
+			// The region is abandoned with the cursor suspended: unwind it
+			// so the searchState carries no stale used[]/varBind[] bindings
+			// into the worker's later batches.
+			w.rc.abort()
+			return
 		}
-	}
-	if !regionDone {
-		// The region is abandoned with the cursor suspended: unwind it so
-		// the searchState carries no stale used[]/varBind[] bindings into
-		// the worker's later batches.
-		w.rc.abort()
 	}
 }
 

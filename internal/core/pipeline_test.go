@@ -175,47 +175,43 @@ func TestPipelineOrderDifferential(t *testing.T) {
 }
 
 // TestPipelineCollectCountDifferential checks the Collect and Count rewires:
-// parallel Collect returns the sequential rows in order (including under a
-// MaxSolutions cap at the first row, inside a batch and inside a region — a
-// deterministic prefix) and parallel Count the same total.
+// parallel Collect returns the sequential rows in order and parallel Count
+// the same total.
 func TestPipelineCollectCountDifferential(t *testing.T) {
 	for _, inst := range pipelineInstances() {
 		for _, sem := range []Semantics{Homomorphism, Isomorphism} {
-			for _, limit := range []int{0, 1, 7, 57} {
-				opts := Optimized()
-				opts.Workers = 1
-				opts.MaxSolutions = limit
-				want, err := Collect(context.Background(), inst.g, inst.q, sem, opts)
+			opts := Optimized()
+			opts.Workers = 1
+			want, err := Collect(context.Background(), inst.g, inst.q, sem, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantN, err := Count(context.Background(), inst.g, inst.q, sem, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				opts.Workers = workers
+				got, err := Collect(context.Background(), inst.g, inst.q, sem, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantN, err := Count(context.Background(), inst.g, inst.q, sem, opts)
+				if len(got) != len(want) {
+					t.Fatalf("%s/%v workers=%d: Collect %d rows, want %d",
+						inst.name, sem, workers, len(got), len(want))
+				}
+				for i := range got {
+					if matchKey(got[i]) != matchKey(want[i]) {
+						t.Fatalf("%s/%v workers=%d row %d differs", inst.name, sem, workers, i)
+					}
+				}
+				gotN, err := Count(context.Background(), inst.g, inst.q, sem, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{2, 4, 8} {
-					opts.Workers = workers
-					got, err := Collect(context.Background(), inst.g, inst.q, sem, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s/%v limit=%d workers=%d: Collect %d rows, want %d",
-							inst.name, sem, limit, workers, len(got), len(want))
-					}
-					for i := range got {
-						if matchKey(got[i]) != matchKey(want[i]) {
-							t.Fatalf("%s/%v limit=%d workers=%d row %d differs", inst.name, sem, limit, workers, i)
-						}
-					}
-					gotN, err := Count(context.Background(), inst.g, inst.q, sem, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotN != wantN {
-						t.Fatalf("%s/%v limit=%d workers=%d: Count = %d, want %d",
-							inst.name, sem, limit, workers, gotN, wantN)
-					}
+				if gotN != wantN {
+					t.Fatalf("%s/%v workers=%d: Count = %d, want %d",
+						inst.name, sem, workers, gotN, wantN)
 				}
 			}
 		}
@@ -223,7 +219,8 @@ func TestPipelineCollectCountDifferential(t *testing.T) {
 }
 
 // dispatchRun is what Stream, Collect and Count of one configuration
-// return, with the profile of each.
+// return, with the profile of each. Its Stream visitor stops after stop rows
+// (0 = never); Collect and Count run in full.
 type dispatchRun struct {
 	streamed, collected []string
 	count               int
@@ -233,7 +230,7 @@ type dispatchRun struct {
 	spawned int
 }
 
-func runDispatch(t *testing.T, inst instance, sem Semantics, opts Opts) dispatchRun {
+func runDispatch(t *testing.T, inst instance, sem Semantics, opts Opts, stop int) dispatchRun {
 	t.Helper()
 	ctx := context.Background()
 	var r dispatchRun
@@ -242,7 +239,7 @@ func runDispatch(t *testing.T, inst instance, sem Semantics, opts Opts) dispatch
 	n, err := Stream(ctx, inst.g, inst.q, sem, opts, func(mt Match) bool {
 		r.spawned = max(r.spawned, runtime.NumGoroutine()-before)
 		r.streamed = append(r.streamed, matchKey(mt))
-		return true
+		return stop == 0 || len(r.streamed) < stop
 	})
 	if err != nil || n != len(r.streamed) {
 		t.Fatalf("Stream(workers=%d) = %d, %v; visited %d", opts.Workers, n, err, len(r.streamed))
@@ -265,8 +262,9 @@ func runDispatch(t *testing.T, inst instance, sem Semantics, opts Opts) dispatch
 // TestOneCandidateRunsSequential pins the sequential-or-pipeline rule. A run
 // whose start vertex has one candidate runs one Cursor on the calling
 // goroutine at any Workers: Stream, Collect and Count give the rows, counts
-// and profiles of Workers = 1, capped or not, and no goroutine starts. A run
-// with two candidates still starts the pipeline's workers.
+// and profiles of Workers = 1, with Stream's visitor stopping after k rows
+// or not, and no goroutine starts. A run with two candidates still starts
+// the pipeline's workers.
 func TestOneCandidateRunsSequential(t *testing.T) {
 	ctx := context.Background()
 	// One hub pinned by ID, its three leaves one NEC class: Count totals
@@ -285,35 +283,33 @@ func TestOneCandidateRunsSequential(t *testing.T) {
 			if _, cands := newMatcher(ctx, inst.g, inst.q, sem, seq).startCandidates(); len(cands) != 1 {
 				t.Fatalf("%s/%v: %d start candidates, want 1", inst.name, sem, len(cands))
 			}
-			all := runDispatch(t, inst, sem, seq).count
+			all := runDispatch(t, inst, sem, seq, 0).count
 			// Every prefix of the pinned star; the single region's first
 			// rows, its first mid-to-mid boundary and its end.
-			limits := []int{0, 1, 2, 40, 41, 57, all - 1, all, all + 1}
+			stops := []int{0, 1, 2, 40, 41, 57, all - 1, all, all + 1}
 			if inst.name == "pinned" {
-				limits = limits[:0]
+				stops = stops[:0]
 				for k := 0; k <= all+1; k++ {
-					limits = append(limits, k)
+					stops = append(stops, k)
 				}
 			}
-			wants := make([]dispatchRun, len(limits))
-			for i, limit := range limits {
-				seq.MaxSolutions = limit
-				wants[i] = runDispatch(t, inst, sem, seq)
+			wants := make([]dispatchRun, len(stops))
+			for i, stop := range stops {
+				wants[i] = runDispatch(t, inst, sem, seq, stop)
 			}
 			for _, workers := range []int{2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%v/workers=%d", inst.name, sem, workers), func(t *testing.T) {
 					for i, want := range wants {
 						par := seq
 						par.Workers = workers
-						par.MaxSolutions = limits[i]
-						got := runDispatch(t, inst, sem, par)
+						got := runDispatch(t, inst, sem, par, stops[i])
 						if got.spawned > 0 {
-							t.Fatalf("limit=%d: %d goroutines started for one start candidate", limits[i], got.spawned)
+							t.Fatalf("stop=%d: %d goroutines started for one start candidate", stops[i], got.spawned)
 						}
 						got.spawned = want.spawned
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("limit=%d: workers=%d differs from workers=1:\n got %d rows, count %d, profiles %+v\nwant %d rows, count %d, profiles %+v",
-								limits[i], workers, len(got.streamed), got.count, got.profs, len(want.streamed), want.count, want.profs)
+							t.Fatalf("stop=%d: workers=%d differs from workers=1:\n got %d rows, count %d, profiles %+v\nwant %d rows, count %d, profiles %+v",
+								stops[i], workers, len(got.streamed), got.count, got.profs, len(want.streamed), want.count, want.profs)
 						}
 					}
 				})
@@ -328,11 +324,11 @@ func TestOneCandidateRunsSequential(t *testing.T) {
 	if _, cands := newMatcher(ctx, sg, sq, Homomorphism, seq).startCandidates(); len(cands) != 2 {
 		t.Fatalf("two-hubs: %d start candidates, want 2", len(cands))
 	}
-	want := runDispatch(t, two, Homomorphism, seq)
+	want := runDispatch(t, two, Homomorphism, seq, 0)
 	for _, workers := range []int{2, 4, 8} {
 		par := seq
 		par.Workers = workers
-		got := runDispatch(t, two, Homomorphism, par)
+		got := runDispatch(t, two, Homomorphism, par, 0)
 		if got.spawned == 0 {
 			t.Fatalf("workers=%d: no goroutine seen inside the visitor, so the pipeline did not run", workers)
 		}
@@ -342,28 +338,44 @@ func TestOneCandidateRunsSequential(t *testing.T) {
 	}
 }
 
-// TestPipelineVisitorStop: a visitor returning false stops a parallel
-// stream cleanly after the same prefix a sequential stream would deliver.
+// TestPipelineVisitorStop: a visitor returning false is the one way a run
+// stops early, so it must stop a parallel stream cleanly after exactly the
+// prefix a sequential stream would deliver: at the first row, inside a
+// batch and inside a region, for every instance (the point-shaped one
+// included) under both semantics.
 func TestPipelineVisitorStop(t *testing.T) {
-	g, q := bipartiteInstance(32)
-	full := streamKeys(t, g, q, Homomorphism, Opts{Workers: 1, Intersect: true})
-	const stopAt = 9
-	opts := Opts{Workers: 4, Intersect: true}
-	var got []string
-	n, err := Stream(context.Background(), g, q, Homomorphism, opts, func(mt Match) bool {
-		got = append(got, matchKey(mt))
-		return len(got) < stopAt
-	})
-	if err != nil {
-		t.Fatalf("visitor stop is not an error, got %v", err)
-	}
-	if n != stopAt || len(got) != stopAt {
-		t.Fatalf("visited %d (returned %d), want %d", len(got), n, stopAt)
-	}
-	for i := range got {
-		if got[i] != full[i] {
-			t.Fatalf("row %d: %s, want sequential prefix %s", i, got[i], full[i])
+	ctx := context.Background()
+	point := false
+	for _, inst := range pipelineInstances() {
+		for _, sem := range []Semantics{Homomorphism, Isomorphism} {
+			seq := Optimized()
+			seq.Workers = 1
+			point = point || newMatcher(ctx, inst.g, inst.q, sem, seq).pointShaped()
+			full := streamKeys(t, inst.g, inst.q, sem, seq)
+			for _, stopAt := range []int{1, 7, 57} {
+				want := full[:min(stopAt, len(full))]
+				for _, workers := range []int{2, 4, 8} {
+					par := seq
+					par.Workers = workers
+					var got []string
+					n, err := Stream(ctx, inst.g, inst.q, sem, par, func(mt Match) bool {
+						got = append(got, matchKey(mt))
+						return len(got) < stopAt
+					})
+					if err != nil || n != len(got) {
+						t.Fatalf("%s/%v stop=%d workers=%d: returned %d, %v; visited %d",
+							inst.name, sem, stopAt, workers, n, err, len(got))
+					}
+					if d := sameKeys(got, want); d != "" {
+						t.Fatalf("%s/%v stop=%d workers=%d vs the sequential prefix: %s",
+							inst.name, sem, stopAt, workers, d)
+					}
+				}
+			}
 		}
+	}
+	if !point {
+		t.Fatal("no point-shaped instance in the corpus")
 	}
 }
 
@@ -438,14 +450,15 @@ func TestPipelineProfileMergesToSequentialTotals(t *testing.T) {
 	}
 }
 
-// TestRunSpanAbandonedCursorNoPollution: when the batch-local MaxSolutions
-// cutoff abandons a region mid-enumeration, the suspended cursor's frames
-// still hold used[] flags and predicate-variable bindings in the worker's
-// searchState. runBatch must unwind them (regionCursor.abort) before the
-// state serves the worker's next batch, which would otherwise silently drop
-// rows. The test drives runBatch directly: a heavy region that trips the
-// cutoff, then a light region through the same worker whose every row
-// reuses a data vertex (or edge label) the abandoned search had bound.
+// TestRunSpanAbandonedCursorNoPollution: a region cursor suspended
+// mid-enumeration still holds used[] flags and predicate-variable bindings in
+// its searchState. Whoever abandons such a region and keeps the state for
+// another one (a pipeline worker shut down mid-region) must unwind it with
+// regionCursor.abort, or the next region silently drops rows. The test drives
+// one regionCursor directly: start on the heavy region, resume(limit) rows,
+// abort, then search the light region through the same searchState, whose
+// every row reuses a data vertex (or edge label) the abandoned search had
+// bound.
 func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 	fHub, fLeaf := uint32(0), uint32(1)
 	// Hub 0 sees all six shared leaves; hub 1 only leaves 2 and 3 — the very
@@ -513,7 +526,7 @@ func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 				opts.Workers = 1
 				seq := streamKeys(t, g, q, tc.sem, opts)
 				if len(seq)-tc.lightRows <= limit {
-					t.Fatalf("heavy region too small (%d total rows) to trip the batch cutoff at %d", len(seq), limit)
+					t.Fatalf("heavy region too small (%d total rows) to abandon after %d", len(seq), limit)
 				}
 
 				m := newMatcher(context.Background(), g, q, tc.sem, opts)
@@ -522,66 +535,57 @@ func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 					t.Fatalf("start vertex %d with %d candidates, want the 2 hubs", start, len(cands))
 				}
 				m.buildQueryTree(start)
-				ps := &pipeState{
-					m: m, cands: cands, start: start,
-					collect: true, limit: limit, quota: 64,
-					done: make(chan struct{}),
-				}
-				w := ps.newWorker()
-
-				runOne := func(lo, hi int) []string {
-					segs := make(chan segment, 1)
-					out := make(chan []string, 1)
-					go func() {
-						var keys []string
-						for seg := range segs {
-							for _, mt := range seg.sols {
-								keys = append(keys, matchKey(mt))
-							}
-						}
-						out <- keys
-					}()
-					w.runBatch(lo, hi, segs)
-					return <-out
-				}
-
-				// The heavy region exceeds the batch limit: runBatch abandons it
-				// mid-enumeration after exactly limit rows.
-				heavy := runOne(0, 1)
-				if len(heavy) != limit {
-					t.Fatalf("heavy batch delivered %d rows, want the batch limit %d", len(heavy), limit)
-				}
-				for i := range heavy {
-					if heavy[i] != seq[i] {
-						t.Fatalf("heavy row %d: %s, want %s", i, heavy[i], seq[i])
+				var rows []string
+				st := newSearchState(m, func(mt Match) bool {
+					rows = append(rows, matchKey(mt))
+					return true
+				})
+				rg := newRegion(len(m.q.Vertices))
+				var plan *searchPlan
+				var rc regionCursor
+				// startRegion is one region of the Cursor's loop: explore,
+				// plan (reused under +REUSE), start.
+				startRegion := func(vs uint32) {
+					rg.reset(vs)
+					if !m.explore(rg, start, vs) {
+						t.Fatalf("region of %d did not survive exploration", vs)
 					}
+					if plan == nil || !opts.ReuseOrder {
+						plan = m.buildPlan(rg)
+					}
+					st.rg, st.plan = rg, plan
+					rc.start(st)
 				}
-				// The abandoned cursor must leave no bindings behind.
-				for v, u := range w.st.used {
+
+				// The heavy region suspends after limit rows and is abandoned.
+				startRegion(cands[0])
+				if rc.resume(limit) {
+					t.Fatalf("heavy region finished within %d rows", limit)
+				}
+				if d := sameKeys(rows, seq[:limit]); d != "" {
+					t.Fatalf("heavy region rows: %s", d)
+				}
+				rc.abort()
+				for v, u := range st.used {
 					if u {
 						t.Errorf("used[%d] still set after abandoning the heavy region", v)
 					}
 				}
-				for i, bnd := range w.st.varBind {
+				for i, bnd := range st.varBind {
 					if bnd != NoID {
 						t.Errorf("varBind[%d] = %d still bound after abandoning the heavy region", i, bnd)
 					}
 				}
-				// The light region is the worker's next batch: its rows (up to
-				// the fresh batch's own limit) must match the sequential tail
-				// exactly.
-				want := seq[len(seq)-tc.lightRows:]
-				if limit < len(want) {
-					want = want[:limit]
+
+				// The light region through the same state: its rows must be
+				// the sequential tail exactly.
+				rows = nil
+				startRegion(cands[1])
+				if !rc.resume(0) {
+					t.Fatal("light region suspended under resume(0)")
 				}
-				light := runOne(1, 2)
-				if len(light) != len(want) {
-					t.Fatalf("light batch delivered %d rows, want %d — stale bindings dropped rows", len(light), len(want))
-				}
-				for i := range light {
-					if light[i] != want[i] {
-						t.Fatalf("light row %d: %s, want %s", i, light[i], want[i])
-					}
+				if d := sameKeys(rows, seq[len(seq)-tc.lightRows:]); d != "" {
+					t.Fatalf("light region rows (stale bindings?): %s", d)
 				}
 			})
 		}

@@ -17,8 +17,8 @@ type ProfileResult struct {
 	// regions attempted).
 	StartCandidates int
 	// Regions is the number of non-empty candidate regions visited. An
-	// early-terminated run (MaxSolutions, a visitor returning false, or
-	// context cancellation) reports only the regions actually reached.
+	// early-terminated run (a visitor returning false, or context
+	// cancellation) reports only the regions actually reached.
 	Regions int
 	// ExploredCandidates is the total number of candidate vertices stored
 	// across all regions — the paper's Σ|CR(u)| measure of exploration

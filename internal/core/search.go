@@ -26,7 +26,6 @@ type searchState struct {
 	used     []bool   // F: isomorphism-mode in-use flags (nil for hom)
 
 	count   int
-	limit   int
 	steps   int // search-loop iterations since the last context check
 	stopped bool
 	err     error // context error that stopped the search (nil otherwise)
@@ -56,7 +55,7 @@ type searchState struct {
 	lblBuf   []uint32
 }
 
-func newSearchState(m *matcher, visit Visitor, limit int) *searchState {
+func newSearchState(m *matcher, visit Visitor) *searchState {
 	n := len(m.q.Vertices)
 	s := &searchState{
 		m:        m,
@@ -64,7 +63,6 @@ func newSearchState(m *matcher, visit Visitor, limit int) *searchState {
 		visit:    visit,
 		mapping:  make([]uint32, n),
 		edgeBind: make([]uint32, len(m.q.Edges)),
-		limit:    limit,
 		candBuf:  make([][]uint32, n),
 		adjBuf:   make([][]uint32, n),
 		listsBuf: make([][][]uint32, n),
@@ -101,15 +99,11 @@ func newSearchState(m *matcher, visit Visitor, limit int) *searchState {
 	return s
 }
 
-// emitMatch delivers one concrete solution and updates the count/limit
-// bookkeeping.
+// emitMatch counts one concrete solution and delivers it; a visitor
+// returning false stops the search.
 func (s *searchState) emitMatch(mv, me []uint32) {
 	s.count++
 	if s.visit != nil && !s.visit(Match{Vertices: mv, EdgeLabels: me}) {
-		s.stopped = true
-		return
-	}
-	if s.limit > 0 && s.count >= s.limit {
 		s.stopped = true
 	}
 }
@@ -125,9 +119,6 @@ func (s *searchState) bulkCount(n int) {
 		s.count = maxInt
 	} else {
 		s.count += n
-	}
-	if s.limit > 0 && s.count >= s.limit {
-		s.stopped = true
 	}
 }
 

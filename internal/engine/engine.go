@@ -46,11 +46,11 @@ type Engine struct {
 // Workers == 0 defaults to runtime.GOMAXPROCS(0). Each matcher run of Exec,
 // Count, Select and All then decides for itself: one start candidate runs
 // sequentially on the calling goroutine, two or more run the ordered region
-// pipeline, whose reorder stage preserves the sequential row order, early
-// termination, and MaxSolutions determinism. Nothing about the default
-// costs determinism — results with Workers = N are byte-identical to
-// Workers = 1, capped or not. Pass Workers = 1 for strictly sequential
-// execution (ablations, single-core boxes).
+// pipeline, whose reorder stage preserves the sequential row order and
+// early termination. Nothing about the default costs determinism — results
+// with Workers = N are byte-identical to Workers = 1, LIMIT or not. Pass
+// Workers = 1 for strictly sequential execution (ablations, single-core
+// boxes).
 func New(data *transform.Data, opts core.Opts) *Engine {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -177,9 +177,9 @@ func (pq *PreparedQuery) CacheKey() string {
 // contract.
 func (e *Engine) fingerprint() string {
 	o := e.opts
-	return fmt.Sprintf("mode=%d;sem=%d;int=%t;nlf=%t;deg=%t;reuse=%t;cost=%t;nec=%t;max=%d",
+	return fmt.Sprintf("mode=%d;sem=%d;int=%t;nlf=%t;deg=%t;reuse=%t;cost=%t;nec=%t",
 		e.mode, e.sem, o.Intersect, o.NoNLF, o.NoDegree, o.ReuseOrder,
-		o.CostOrder, o.NoNEC, o.MaxSolutions)
+		o.CostOrder, o.NoNEC)
 }
 
 // Prepare parses src and compiles its execution plan.

@@ -636,36 +636,35 @@ func TestNECSPARQLStarProfiled(t *testing.T) {
 
 // TestDefaultWorkersParallel pins the out-of-the-box parallelism contract:
 // an engine built with Workers == 0 resolves to runtime.GOMAXPROCS and its
-// materialized execution equals sequential execution row for row, capped by
-// MaxSolutions or not.
+// materialized execution equals sequential execution row for row, under a
+// SPARQL LIMIT or not.
 func TestDefaultWorkersParallel(t *testing.T) {
 	ts := uniTriples()
 	auto := New(transform.Build(ts, transform.TypeAware), core.Optimized())
 	if w := runtime.GOMAXPROCS(0); auto.opts.Workers != w {
 		t.Fatalf("Workers = %d, want GOMAXPROCS default %d", auto.opts.Workers, w)
 	}
-	// A cap does not force sequential execution: the capped rows are the
+	// A LIMIT does not force sequential execution: the limited rows are the
 	// sequential prefix for any worker count.
 	wide := wideEngine(100).Data()
+	seqWide := core.Optimized()
+	seqWide.Workers = 1
 	for _, limit := range []int{1, 5, 17} {
-		capped := core.Optimized()
-		capped.MaxSolutions = limit
-		cappedSeq := capped
-		cappedSeq.Workers = 1
-		got, err := New(wide, capped).Query(wideQuery)
+		q := fmt.Sprintf("%s LIMIT %d", wideQuery, limit)
+		got, err := New(wide, core.Optimized()).Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(wide, cappedSeq).Query(wideQuery)
+		want, err := New(wide, seqWide).Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got.Rows) != limit || len(want.Rows) != limit {
-			t.Fatalf("cap %d: %d rows at default workers, %d sequential", limit, len(got.Rows), len(want.Rows))
+			t.Fatalf("LIMIT %d: %d rows at default workers, %d sequential", limit, len(got.Rows), len(want.Rows))
 		}
 		for i := range got.Rows {
 			if rowString(got.Rows[i]) != rowString(want.Rows[i]) {
-				t.Fatalf("cap %d row %d: %v, sequential %v", limit, i, got.Rows[i], want.Rows[i])
+				t.Fatalf("LIMIT %d row %d: %v, sequential %v", limit, i, got.Rows[i], want.Rows[i])
 			}
 		}
 	}

@@ -37,7 +37,7 @@ type Explain struct {
 
 // Explain executes the prepared query sequentially, component by component,
 // and reports each component's matching order, cost estimates, and effort
-// counters. It pays for a full (uncapped) execution of every component.
+// counters. It pays for a full execution of every component.
 func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	d := pq.e.Data()
 	pe, err := pq.plansFor(d)

@@ -126,7 +126,7 @@ func TestFilterOnUnboundVariableEliminatesRows(t *testing.T) {
 	}
 }
 
-func TestMaxSolutionsThroughLimit(t *testing.T) {
+func TestLimitClauseCapsRows(t *testing.T) {
 	aware, _ := newEngines(t)
 	res, err := aware.Query(prefix + `SELECT ?x WHERE { ?x a :Person . } LIMIT 2`)
 	if err != nil {

@@ -208,9 +208,9 @@ func TestExecWorkersPointScan(t *testing.T) {
 	}
 }
 
-// TestSelectWorkersLimitDeterministic: a MaxSolutions-capped engine is no
-// longer forced sequential — the pipeline makes the capped subset exactly
-// the sequential prefix for any worker count.
+// TestSelectWorkersLimitDeterministic: a query with a SPARQL LIMIT is not
+// forced sequential — the pipeline makes the limited rows exactly the
+// sequential prefix for any worker count.
 func TestSelectWorkersLimitDeterministic(t *testing.T) {
 	eng1 := wideEngine(100)
 	data := eng1.Data()
@@ -218,8 +218,7 @@ func TestSelectWorkersLimitDeterministic(t *testing.T) {
 	for _, w := range workerCounts() {
 		opts := core.Optimized()
 		opts.Workers = w
-		opts.MaxSolutions = 11
-		pq, err := New(data, opts).Prepare(wideQuery)
+		pq, err := New(data, opts).Prepare(wideQuery + " LIMIT 11")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +227,7 @@ func TestSelectWorkersLimitDeterministic(t *testing.T) {
 			got = append(got, rowString(row))
 		}
 		if len(got) != 11 {
-			t.Fatalf("workers=%d: %d rows, want the 11-row cap", w, len(got))
+			t.Fatalf("workers=%d: %d rows, want LIMIT 11", w, len(got))
 		}
 		if w == 1 {
 			want = got

@@ -116,15 +116,6 @@ type Options struct {
 	// crashes — the common case — at a fraction of the latency. Ignored by
 	// in-memory stores.
 	SyncWAL bool
-
-	// Limit caps how many solutions the matcher enumerates per basic graph
-	// pattern (the paper's MaxSolutions early-termination knob): once the
-	// cap is reached the search abandons its remaining candidate regions.
-	// It bounds matcher work, not the exact result size — joins, OPTIONAL
-	// and post-match FILTERs run downstream of the cap — so use a SPARQL
-	// LIMIT clause for precise row counts and Limit to put a hard ceiling
-	// on per-query effort. 0 means unlimited.
-	Limit int
 }
 
 // coreOpts resolves the configuration into matcher options.
@@ -141,7 +132,6 @@ func (o *Options) coreOpts() core.Opts {
 	if o != nil {
 		opts.Workers = o.Workers
 		opts.StreamBuffer = o.StreamBuffer
-		opts.MaxSolutions = o.Limit
 		opts.CostOrder = o.CostOrder
 		if o.NEC == NECOff {
 			opts.NoNEC = true

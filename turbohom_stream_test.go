@@ -230,24 +230,6 @@ func TestPreparedConcurrent(t *testing.T) {
 	}
 }
 
-func TestOptionsLimit(t *testing.T) {
-	s := New(wideTriples(100), &Options{Limit: 7})
-	n, err := s.Count(wideQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("Count under Limit 7 = %d", n)
-	}
-	res, err := s.Query(wideQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 7 {
-		t.Fatalf("Query under Limit 7 = %d rows", res.Len())
-	}
-}
-
 func TestGraphStreamingIterators(t *testing.T) {
 	gb := NewGraphBuilder()
 	const n = 30
